@@ -4,11 +4,12 @@
 //! greedy-vs-exact ordering — the bnb-vs-exhaustive pattern of
 //! `coin-select`, applied to placement. Complements
 //! `proptest_passive.rs`, which draws abstract supports; here the
-//! instances come from *routed topologies*, end to end.
+//! instances come from *routed topologies*, end to end. Also re-solves
+//! instances round-tripped through `popgen::fileio`.
 
 use placement::instance::PpmInstance;
 use placement::passive::{greedy_static, solve_ppm_exact, ExactOptions};
-use popgen::{FamilySpec, GravitySpec, Pop, TrafficSet};
+use popgen::{fileio, FamilySpec, GravitySpec, Pop, TrafficSet};
 use proptest::prelude::*;
 
 /// Strategy: a seeded random family instance, small enough that the exact
@@ -119,5 +120,44 @@ proptest! {
         );
         prop_assert!(inst.is_feasible(&g.edges, k));
         prop_assert!(inst.is_feasible(&e.edges, k));
+    }
+
+    /// generate → serialize → parse → re-solve: the round-tripped instance
+    /// yields byte-identical supports/volumes, hence identical greedy and
+    /// exact device counts at every coverage level.
+    #[test]
+    fn roundtrip_preserves_device_counts(case in family_instances(), k_pct in 50u32..=100) {
+        let (spec, seed) = case;
+        let (pop, ts, inst) = build(&spec, seed);
+        let text = fileio::serialize(&pop, &ts);
+        let (pop2, ts2) = fileio::parse(&text).expect("serialized instances must parse");
+
+        prop_assert_eq!(pop2.graph.node_count(), pop.graph.node_count());
+        prop_assert_eq!(pop2.graph.edge_count(), pop.graph.edge_count());
+        prop_assert_eq!(ts2.len(), ts.len());
+
+        let inst2 = PpmInstance::from_traffic(&pop2.graph, &ts2);
+        // Volumes survive exactly (f64 Display round-trips); supports may
+        // be re-derived through re-routing, so compare the solver-visible
+        // quantities: per-edge loads and the solutions themselves.
+        for (a, b) in inst.edge_loads().iter().zip(&inst2.edge_loads()) {
+            prop_assert!((a - b).abs() < 1e-9, "edge load moved across the round-trip");
+        }
+
+        let k = k_pct as f64 / 100.0;
+        let g = greedy_static(&inst, k).expect("all family traffic is coverable");
+        let g2 = greedy_static(&inst2, k).expect("round-tripped instance stays coverable");
+        prop_assert_eq!(
+            g.device_count(), g2.device_count(),
+            "greedy device count moved across the round-trip"
+        );
+
+        let opts = ExactOptions::default();
+        let e = solve_ppm_exact(&inst, k, &opts).expect("feasible");
+        let e2 = solve_ppm_exact(&inst2, k, &opts).expect("feasible");
+        prop_assert_eq!(
+            e.device_count(), e2.device_count(),
+            "exact device count moved across the round-trip"
+        );
     }
 }

@@ -3,7 +3,7 @@
 
 use popmon::placement::instance::PpmInstance;
 use popmon::placement::passive::{
-    brute_force_ppm, flow_greedy_ppm, greedy_adaptive, greedy_static, solve_ppm_exact,
+    brute_force_ppm, build_lp2, flow_greedy_ppm, greedy_adaptive, greedy_static, solve_ppm_exact,
     solve_ppm_mecf, ExactOptions,
 };
 use popmon::popgen::{PopSpec, TrafficSpec};
@@ -176,4 +176,31 @@ fn fileio_roundtrip_preserves_solutions() {
     let sa = solve_ppm_exact(&a, 0.9, &ExactOptions::default()).unwrap();
     let sb = solve_ppm_exact(&b, 0.9, &ExactOptions::default()).unwrap();
     assert_eq!(sa.device_count(), sb.device_count());
+}
+
+#[test]
+fn lp2_relaxation_at_fig8_scale_is_rescaling_invariant() {
+    // The merged 15-router (Figure 8) LP 2 relaxation solves, and an exact
+    // power-of-two rescaling of it (rows and columns cycling through
+    // 2^±20) solves to the same objective.
+    let pop = PopSpec::paper_15().build();
+    let ts = TrafficSpec::default().generate(&pop, 1);
+    let merged = PpmInstance::from_traffic(&pop.graph, &ts).merged();
+    let (lp2, _) = build_lp2(&merged, 0.9);
+    let plain = lp2.solve_lp().expect("LP 2 relaxation solves").objective;
+    let rows: Vec<i32> = (0..lp2.constr_count())
+        .map(|r| [0, 20, -20, 8, -14][r % 5])
+        .collect();
+    let cols: Vec<i32> = (0..lp2.var_count())
+        .map(|c| [12, -6, 0, -20, 17][c % 5])
+        .collect();
+    let rescaled = lp2
+        .equivalently_rescaled(&rows, &cols)
+        .solve_lp()
+        .expect("rescaled LP 2 solves")
+        .objective;
+    assert!(
+        (rescaled - plain).abs() <= 1e-6 * (1.0 + plain.abs()),
+        "rescaled LP 2 objective {rescaled} drifted from {plain}"
+    );
 }
