@@ -381,7 +381,9 @@ pub fn incremental_report(
         |c: ChainCase<'_, u32>| {
             let setup = incremental_seed_setup(c.memo, pop, c.seed);
             let mut inc_chain = DeltaInstance::from_instance(&setup.inst);
-            inc_chain.set_installed(&setup.base_edges);
+            inc_chain
+                .try_set_installed(&setup.base_edges)
+                .expect("base placement edges are in range");
             let mut scratch_chain = DeltaInstance::from_instance(&setup.inst);
             c.points
                 .iter()
@@ -421,11 +423,16 @@ pub fn budget_gain_report(
             let setup = incremental_seed_setup(c.memo, pop, c.seed);
             let before = setup.inst.coverage(&setup.base_edges);
             let mut chain = DeltaInstance::from_instance(&setup.inst);
-            chain.set_installed(&setup.base_edges);
+            chain
+                .try_set_installed(&setup.base_edges)
+                .expect("base placement edges are in range");
             c.points
                 .iter()
                 .map(|&extra| {
-                    let b = chain.solve_budget(extra as usize, &opts);
+                    let req = SolveRequest::budget(extra as usize).with_exact_options(&opts);
+                    let Ok(SolveOutcome::Budget(b)) = chain.solve(&req) else {
+                        unreachable!("a budget solve without a work budget finishes");
+                    };
                     let gain = (b.coverage - before).max(0.0);
                     (gain, 100.0 * b.coverage_fraction())
                 })

@@ -185,7 +185,7 @@ fn resolve_threads(requested: usize) -> usize {
         .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
-/// Cross-solve warm-start state returned by [`Model::solve_mip_warm`]: the
+/// Cross-solve warm-start state returned by [`Model::solve_mip_anytime`]: the
 /// optimal basis of the root relaxation (over the *presolved* model),
 /// reusable as the root start of the next solve in a perturbation chain.
 /// Reuse is guarded by [`LpWarmStart`]'s shape *and* coefficient
@@ -404,11 +404,9 @@ fn solve_node_lp(
     // seed it and its basis can seed the next chain link; interior nodes
     // reuse the parent basis only when `warm_basis` is on.
     let mut work = 0u64;
-    let lp = if warm_path || node.depth == 0 {
-        simplex::solve_warm_budgeted(model, node.basis.as_deref(), lp_budget, &mut work)
-    } else {
-        simplex::solve_budgeted(model, lp_budget, &mut work).map(|s| (s, None))
-    };
+    let capture = warm_path || node.depth == 0;
+    let warm = node.basis.as_deref().filter(|_| capture);
+    let lp = simplex::solve(model, warm, capture, lp_budget, &mut work);
     restore(model, root, &node.changes);
     let outcome = match lp {
         Ok((sol, basis)) => Ok(Some(NodeLp { sol, basis })),
@@ -418,38 +416,24 @@ fn solve_node_lp(
     (outcome, work)
 }
 
-/// Entry point used by [`Model::solve_mip`] and friends. `warm` seeds the
-/// root LP basis from a previous solve of a perturbed sibling model; the
-/// returned [`MipWarmStart`] carries this solve's root basis onward (or
-/// `None` when the root LP never produced a reusable basis).
-///
-/// Flattens a budget interruption into the legacy surface: an interrupted
-/// search with an incumbent reports it as a [`SolveStatus::Feasible`]
-/// solution with its gap (the same shape a node-limit stop produces), and
-/// one without an incumbent surfaces [`SolverError::Interrupted`]. Use
-/// [`solve_outcome`] / [`Model::solve_mip_anytime`] for the typed form.
-pub(crate) fn solve(
-    model: &Model,
-    opts: &MipOptions,
-    warm: Option<&MipWarmStart>,
-) -> Result<(Solution, Option<MipWarmStart>)> {
-    match solve_outcome(model, opts, warm)? {
-        (MipOutcome::Complete(sol), w) => Ok((sol, w)),
-        (
-            MipOutcome::Interrupted {
-                incumbent: Some(sol),
-                ..
-            },
-            w,
-        ) => Ok((sol, w)),
-        (
-            MipOutcome::Interrupted {
-                incumbent: None,
-                work_spent,
-                ..
-            },
-            _,
-        ) => Err(SolverError::Interrupted { work_spent }),
+/// Entry point behind [`Model::solve_mip_with`]: a cold search flattened
+/// into the plain surface. An interrupted search with an incumbent reports
+/// it as a [`SolveStatus::Feasible`] solution with its gap (the same shape
+/// a node-limit stop produces), and one without an incumbent surfaces
+/// [`SolverError::Interrupted`]. Use [`solve_outcome`] /
+/// [`Model::solve_mip_anytime`] for the typed form.
+pub(crate) fn solve(model: &Model, opts: &MipOptions) -> Result<Solution> {
+    match solve_outcome(model, opts, None)?.0 {
+        MipOutcome::Complete(sol)
+        | MipOutcome::Interrupted {
+            incumbent: Some(sol),
+            ..
+        } => Ok(sol),
+        MipOutcome::Interrupted {
+            incumbent: None,
+            work_spent,
+            ..
+        } => Err(SolverError::Interrupted { work_spent }),
     }
 }
 
@@ -709,12 +693,8 @@ pub(crate) fn solve_outcome(
                         break;
                     }
                     let mut cut_work = 0u64;
-                    let lp2 = simplex::solve_warm_budgeted(
-                        &node_model,
-                        basis.as_ref(),
-                        lp_budget,
-                        &mut cut_work,
-                    );
+                    let lp2 =
+                        simplex::solve(&node_model, basis.as_ref(), true, lp_budget, &mut cut_work);
                     work_spent += cut_work;
                     match lp2 {
                         Ok((s2, b2)) => {
@@ -771,12 +751,8 @@ pub(crate) fn solve_outcome(
                         node_model.vars[j].hi = hi;
                     }
                     let mut cut_work = 0u64;
-                    let lp2 = simplex::solve_warm_budgeted(
-                        &node_model,
-                        basis.as_ref(),
-                        lp_budget,
-                        &mut cut_work,
-                    );
+                    let lp2 =
+                        simplex::solve(&node_model, basis.as_ref(), true, lp_budget, &mut cut_work);
                     restore(&mut node_model, &root_model, &node.changes);
                     work_spent += cut_work;
                     match lp2 {
@@ -811,6 +787,15 @@ pub(crate) fn solve_outcome(
             for &(j, lo, hi) in &node.changes {
                 node_model.vars[j].lo = lo;
                 node_model.vars[j].hi = hi;
+            }
+            // The LP may leave values a tolerance past their bounds (a
+            // binary and the δ it carries at 1 + 3e-6): take them into
+            // [lo, hi] before the fractionality test, so an integer reads as
+            // integral at its bound rather than branching to a child whose
+            // bounds cross, and the snapped candidate below is checked at
+            // the projected point.
+            for (x, v) in sol.values.iter_mut().zip(&node_model.vars) {
+                *x = x.max(v.lo).min(v.hi);
             }
 
             // Fractional branching candidates with floor/ceil distances.
@@ -853,17 +838,14 @@ pub(crate) fn solve_outcome(
                             node_model.vars[j].hi = x.floor();
                         }
                         let mut probe_work = 0u64;
-                        let probe = if let Some(w) = lp_arc.as_deref() {
-                            simplex::solve_warm_budgeted(
-                                &node_model,
-                                Some(w),
-                                lp_budget,
-                                &mut probe_work,
-                            )
-                            .map(|(s, _)| s)
-                        } else {
-                            simplex::solve_budgeted(&node_model, lp_budget, &mut probe_work)
-                        };
+                        let probe = simplex::solve(
+                            &node_model,
+                            lp_arc.as_deref(),
+                            false,
+                            lp_budget,
+                            &mut probe_work,
+                        )
+                        .map(|(s, _)| s);
                         node_model.vars[j].lo = plo;
                         node_model.vars[j].hi = phi;
                         work_spent += probe_work;
@@ -973,35 +955,34 @@ pub(crate) fn solve_outcome(
                     }
                     let x = sol.values[j];
                     let (lo, hi) = (node_model.vars[j].lo, node_model.vars[j].hi);
-                    let mut down = node.changes.clone();
-                    down.push((j, lo, x.floor()));
-                    let mut up = node.changes.clone();
-                    up.push((j, x.ceil(), hi));
                     let child_basis = if opts.warm_basis {
                         lp_arc.clone()
                     } else {
                         None
                     };
-                    seq += 1;
-                    open.push(Node {
-                        bound,
-                        depth: node.depth + 1,
-                        seq,
-                        changes: down,
-                        basis: child_basis.clone(),
-                        branched: Some((j, false, x - x.floor())),
-                        parent_obj: sol.objective,
-                    });
-                    seq += 1;
-                    open.push(Node {
-                        bound,
-                        depth: node.depth + 1,
-                        seq,
-                        changes: up,
-                        basis: child_basis,
-                        branched: Some((j, true, x.ceil() - x)),
-                        parent_obj: sol.objective,
-                    });
+                    // Down child first: the up-branch (pushed last) wins
+                    // ties and is plunged first. A child whose bounds
+                    // cross is empty and never queued.
+                    for (up, clo, chi, moved) in [
+                        (false, lo, x.floor(), x - x.floor()),
+                        (true, x.ceil(), hi, x.ceil() - x),
+                    ] {
+                        if clo > chi {
+                            continue;
+                        }
+                        let mut changes = node.changes.clone();
+                        changes.push((j, clo, chi));
+                        seq += 1;
+                        open.push(Node {
+                            bound,
+                            depth: node.depth + 1,
+                            seq,
+                            changes,
+                            basis: child_basis.clone(),
+                            branched: Some((j, up, moved)),
+                            parent_obj: sol.objective,
+                        });
+                    }
                 }
             }
 
@@ -1136,7 +1117,7 @@ fn round_heuristic(model: &Model, values: &[f64], int_vars: &[usize]) -> Option<
 
 #[cfg(test)]
 mod tests {
-    use crate::{Cmp, MipOptions, Model, Sense, SolveStatus, SolverError, VarKind};
+    use crate::{Cmp, MipOptions, MipOutcome, Model, Sense, SolveStatus, SolverError, VarKind};
 
     /// The plain search: no cuts, no strong branching, serial single-node
     /// batches — the baseline the enriched default engine must agree with.
@@ -1160,7 +1141,7 @@ mod tests {
         let b = m.add_var("b", VarKind::Binary, 0.0, 1.0, 13.0);
         let c = m.add_var("c", VarKind::Binary, 0.0, 1.0, 7.0);
         m.add_constr(vec![(a, 3.0), (b, 4.0), (c, 2.0)], Cmp::Le, 6.0);
-        let s = m.solve_mip().unwrap();
+        let s = m.solve_mip_with(&MipOptions::default()).unwrap();
         assert_eq!(s.status, SolveStatus::Optimal);
         assert!((s.objective - 20.0).abs() < 1e-6, "obj = {}", s.objective);
         assert!(s.is_one(b, 1e-6) && s.is_one(c, 1e-6));
@@ -1176,7 +1157,7 @@ mod tests {
         m.add_constr(vec![(a, 1.0), (c, 1.0)], Cmp::Ge, 1.0);
         m.add_constr(vec![(a, 1.0), (b, 1.0)], Cmp::Ge, 1.0);
         m.add_constr(vec![(b, 1.0), (c, 1.0)], Cmp::Ge, 1.0);
-        let s = m.solve_mip().unwrap();
+        let s = m.solve_mip_with(&MipOptions::default()).unwrap();
         assert_eq!(s.status, SolveStatus::Optimal);
         assert!((s.objective - 2.0).abs() < 1e-6);
     }
@@ -1189,7 +1170,7 @@ mod tests {
         let x = m.add_var("x", VarKind::Integer, 0.0, 10.0, 2.0);
         let y = m.add_var("y", VarKind::Continuous, 0.0, f64::INFINITY, 1.0);
         m.add_constr(vec![(x, 1.0), (y, 1.0)], Cmp::Ge, 3.5);
-        let s = m.solve_mip().unwrap();
+        let s = m.solve_mip_with(&MipOptions::default()).unwrap();
         assert!((s.objective - 3.5).abs() < 1e-6);
         assert!(s.value(x).abs() < 1e-6);
     }
@@ -1200,7 +1181,7 @@ mod tests {
         let mut m = Model::new(Sense::Maximize);
         let x = m.add_var("x", VarKind::Integer, 0.0, 10.0, 1.0);
         m.add_constr(vec![(x, 2.0)], Cmp::Le, 5.0);
-        let s = m.solve_mip().unwrap();
+        let s = m.solve_mip_with(&MipOptions::default()).unwrap();
         assert!((s.value(x) - 2.0).abs() < 1e-6);
     }
 
@@ -1210,16 +1191,19 @@ mod tests {
         let x = m.add_var("x", VarKind::Binary, 0.0, 1.0, 1.0);
         let y = m.add_var("y", VarKind::Binary, 0.0, 1.0, 1.0);
         m.add_constr(vec![(x, 1.0), (y, 1.0)], Cmp::Ge, 3.0);
-        assert_eq!(m.solve_mip().unwrap_err(), SolverError::Infeasible);
+        assert_eq!(
+            m.solve_mip_with(&MipOptions::default()).unwrap_err(),
+            SolverError::Infeasible
+        );
     }
 
     #[test]
     fn pure_lp_passthrough() {
-        // No integer variables: solve_mip must behave like solve_lp.
+        // No integer variables: solve_mip_with must behave like solve_lp.
         let mut m = Model::new(Sense::Minimize);
         let x = m.add_var("x", VarKind::Continuous, 0.0, 10.0, 1.0);
         m.add_constr(vec![(x, 1.0)], Cmp::Ge, 2.5);
-        let s = m.solve_mip().unwrap();
+        let s = m.solve_mip_with(&MipOptions::default()).unwrap();
         assert!((s.objective - 2.5).abs() < 1e-9);
     }
 
@@ -1234,7 +1218,7 @@ mod tests {
             m.add_constr(vec![(w[0], 1.0), (w[1], 1.0)], Cmp::Ge, 1.0);
         }
         m.set_initial_solution(vec![1.0, 0.0, 1.0, 0.0, 1.0, 0.0]);
-        let s = m.solve_mip().unwrap();
+        let s = m.solve_mip_with(&MipOptions::default()).unwrap();
         assert_eq!(s.status, SolveStatus::Optimal);
         // Optimal vertex cover of a path of 6 nodes (5 edges) costs 2? No:
         // pairs (0,1),(1,2),(2,3),(3,4),(4,5): picking x1, x3 covers the
@@ -1268,7 +1252,7 @@ mod tests {
             Err(e) => panic!("unexpected error {e}"),
         }
         // With a generous budget it must prove optimality.
-        let s = m.solve_mip().unwrap();
+        let s = m.solve_mip_with(&MipOptions::default()).unwrap();
         assert_eq!(s.status, SolveStatus::Optimal);
         assert!((s.objective - 77.0).abs() < 1e-6, "obj = {}", s.objective);
     }
@@ -1283,7 +1267,7 @@ mod tests {
         let x2 = m.add_var("x2", VarKind::Binary, 0.0, 1.0, 1.0);
         m.add_constr(vec![(x1, 1.0), (x2, 1.0)], Cmp::Ge, 1.0);
         m.fix_var(x0, 1.0);
-        let s = m.solve_mip().unwrap();
+        let s = m.solve_mip_with(&MipOptions::default()).unwrap();
         assert!(s.is_one(x0, 1e-9));
         assert!((s.objective - 2.0).abs() < 1e-6);
     }
@@ -1296,7 +1280,7 @@ mod tests {
         let y = m.add_var("y", VarKind::Integer, 0.0, 100.0, 1.0);
         m.add_constr(vec![(x, 1.0), (y, 1.0)], Cmp::Eq, 7.0);
         m.add_constr(vec![(x, 1.0), (y, -1.0)], Cmp::Eq, 1.0);
-        let s = m.solve_mip().unwrap();
+        let s = m.solve_mip_with(&MipOptions::default()).unwrap();
         assert!((s.value(x) - 4.0).abs() < 1e-6);
         assert!((s.value(y) - 3.0).abs() < 1e-6);
     }
@@ -1414,7 +1398,7 @@ mod tests {
         let x = m.add_var("x", VarKind::Binary, 0.0, 1.0, 1.0);
         let y = m.add_var("y", VarKind::Binary, 0.0, 1.0, -1.0);
         m.add_constr(vec![(x, 1.0), (y, 1.0)], Cmp::Ge, 1.0);
-        let s = m.solve_mip().unwrap();
+        let s = m.solve_mip_with(&MipOptions::default()).unwrap();
         assert_eq!(s.status, SolveStatus::Optimal);
         assert!((s.objective - (-1.0)).abs() < 1e-9);
 
@@ -1422,8 +1406,94 @@ mod tests {
         let a = m.add_var("a", VarKind::Binary, 0.0, 1.0, 1.0);
         let b = m.add_var("b", VarKind::Binary, 0.0, 1.0, -1.0);
         m.add_constr(vec![(a, 1.0), (b, -1.0)], Cmp::Ge, 0.0);
-        let s = m.solve_mip().unwrap();
+        let s = m.solve_mip_with(&MipOptions::default()).unwrap();
         assert_eq!(s.status, SolveStatus::Optimal);
         assert!(s.objective.abs() < 1e-9, "obj = {}", s.objective);
+    }
+
+    /// A two-link warm chain from a popmond session (the `serve_small`
+    /// benchmark at seed 502): the LP 2 covering program of a chain with
+    /// two failed and two installed links, re-solved after one flow's
+    /// volume drops to zero and the coverage target rises. The warm root
+    /// LP leaves binary `x10` (and the δ it carries) at 1.0000031, past
+    /// its bound; the search used to branch on it, queue the up-child
+    /// `[2, 1]`, and panic in the rounding heuristic's clamp.
+    #[test]
+    fn warm_root_value_past_a_binary_bound_is_not_branched_on() {
+        const SUPPORTS: [&[usize]; 17] = [
+            &[0, 1, 7],
+            &[0, 2, 8],
+            &[0, 2, 11],
+            &[0, 3, 7, 11],
+            &[0, 3, 10, 11],
+            &[0, 4],
+            &[0, 5],
+            &[0, 11],
+            &[1, 6, 11],
+            &[2, 3, 6, 10],
+            &[2, 3, 7, 9],
+            &[2, 3, 9, 10],
+            &[2, 10],
+            &[4],
+            &[6, 7],
+            &[6, 9],
+            &[7],
+        ];
+        let mut volumes = [
+            28.0,
+            22.0,
+            17.0,
+            99.81224057894539,
+            1.664153830234311,
+            16.0,
+            13.0,
+            24.0,
+            6.387157165247225,
+            5.856364060607929,
+            9.76256422450403,
+            1.0389186635780105,
+            6.0,
+            17.0,
+            2.5,
+            52.2813328589787,
+            1.0,
+        ];
+        let mut m = Model::new(Sense::Minimize);
+        let xs: Vec<_> = (0..12)
+            .map(|e| m.add_var(format!("x{e}"), VarKind::Binary, 0.0, 1.0, 1.0))
+            .collect();
+        let mut ds = Vec::new();
+        for (t, support) in SUPPORTS.iter().enumerate() {
+            let d = m.add_var(format!("d{t}"), VarKind::Continuous, 0.0, 1.0, 0.0);
+            let mut terms: Vec<_> = support.iter().map(|&e| (xs[e], 1.0)).collect();
+            terms.push((d, -1.0));
+            m.add_constr(terms, Cmp::Ge, 0.0);
+            ds.push(d);
+        }
+        let coverage = |volumes: &[f64]| ds.iter().copied().zip(volumes.iter().copied()).collect();
+        let row = m.add_constr(coverage(&volumes), Cmp::Ge, 168.94597401317995);
+        for e in [6, 7] {
+            m.fix_var(xs[e], 1.0);
+            m.set_cost(xs[e], 0.0);
+        }
+        for e in [4, 8] {
+            m.fix_var(xs[e], 0.0);
+        }
+        let opts = MipOptions {
+            integral_objective: Some(true),
+            warm_basis: true,
+            ..Default::default()
+        };
+        let (_, warm) = m.solve_mip_anytime(&opts, None).unwrap();
+        volumes[1] = 0.0;
+        m.set_constr(row, coverage(&volumes));
+        m.set_rhs(row, 284.3027532237239);
+        let (outcome, _) = m.solve_mip_anytime(&opts, warm.as_ref()).unwrap();
+        let MipOutcome::Complete(warm_sol) = outcome else {
+            panic!("no budget set, so the search completes");
+        };
+        let cold = m.solve_mip_with(&opts).unwrap();
+        assert_eq!(warm_sol.status, SolveStatus::Optimal);
+        assert_eq!(warm_sol.objective, cold.objective);
     }
 }

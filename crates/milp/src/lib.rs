@@ -18,9 +18,9 @@
 //!   most-fractional branching (pseudocost-scored tie-breaking), best-bound
 //!   node selection with depth-first plunging, optional integral-objective
 //!   bound strengthening, a rounding incumbent heuristic, and node/time
-//!   limits ([`Model::solve_mip`]);
+//!   limits ([`Model::solve_mip_with`]);
 //! * a light **presolve** (fixed-variable substitution, empty/redundant row
-//!   elimination), applied inside [`Model::solve_mip`].
+//!   elimination), applied inside [`Model::solve_mip_with`].
 //!
 //! The solver targets the instance sizes of the paper and its scale-up
 //! experiments (tens of binaries, thousands of continuous variables and

@@ -643,8 +643,8 @@ impl Basis {
     }
 
     /// Forces the sparse-LU backend regardless of size (the kernels'
-    /// differential tests and benches use this; production callers want
-    /// [`Basis::factorize`]).
+    /// differential tests in `tests/proptest_lu.rs` use this; production
+    /// callers want [`Basis::factorize`]).
     pub fn factorize_sparse(m: usize, basis_cols: &[&[(u32, f64)]]) -> Result<Basis, Singular> {
         Ok(Basis {
             m,
@@ -692,8 +692,8 @@ impl Basis {
     ) -> Result<(), Singular> {
         self.m = m;
         // The backend chosen at construction is kept: the basis dimension
-        // never changes mid-solve, and forced-sparse bases (tests,
-        // benches) must stay sparse across refactorizations.
+        // never changes mid-solve, and forced-sparse bases (the kernel
+        // tests) must stay sparse across refactorizations.
         match &mut self.repr {
             Repr::Dense { inv, updates } => {
                 *inv = DenseInv::factorize(m, basis_cols)?;

@@ -90,7 +90,7 @@ pub(crate) fn fnv_step(mut h: u64, x: u64) -> u64 {
 ///
 /// Variables and constraints are added incrementally; [`Model::solve_lp`]
 /// solves the continuous relaxation (ignoring integrality marks) and
-/// [`Model::solve_mip`] enforces integrality with branch-and-bound.
+/// [`Model::solve_mip_with`] enforces integrality with branch-and-bound.
 #[derive(Debug, Clone)]
 pub struct Model {
     pub(crate) sense: Sense,
@@ -398,7 +398,7 @@ impl Model {
     }
 
     /// Supplies a warm-start solution used as the initial incumbent by
-    /// [`Model::solve_mip`] (it is validated for feasibility first, and
+    /// [`Model::solve_mip_with`] (it is validated for feasibility first, and
     /// ignored when infeasible).
     pub fn set_initial_solution(&mut self, values: Vec<f64>) {
         self.initial = Some(values);
@@ -567,7 +567,7 @@ impl Model {
 
     /// Solves the continuous relaxation (integrality marks ignored).
     pub fn solve_lp(&self) -> Result<Solution> {
-        simplex::solve(self)
+        simplex::solve(self, None, false, None, &mut 0).map(|(s, _)| s)
     }
 
     /// Solves the continuous relaxation, optionally warm-starting from the
@@ -584,43 +584,35 @@ impl Model {
         &self,
         warm: Option<&LpWarmStart>,
     ) -> Result<(Solution, Option<LpWarmStart>)> {
-        simplex::solve_warm(self, warm)
+        simplex::solve(self, warm, true, None, &mut 0)
     }
 
-    /// Solves the mixed-integer program with default options.
-    pub fn solve_mip(&self) -> Result<Solution> {
-        branch_bound::solve(self, &MipOptions::default(), None).map(|(s, _)| s)
-    }
-
-    /// Solves the mixed-integer program with explicit options.
+    /// Solves the mixed-integer program (`MipOptions::default()` for the
+    /// plain search). A budget interruption with an incumbent reports it as
+    /// a [`SolveStatus::Feasible`](crate::SolveStatus::Feasible) solution; use
+    /// [`Model::solve_mip_anytime`] for the typed anytime record and for
+    /// warm-starting the root LP along a chain.
     pub fn solve_mip_with(&self, opts: &MipOptions) -> Result<Solution> {
-        branch_bound::solve(self, opts, None).map(|(s, _)| s)
+        branch_bound::solve(self, opts)
     }
 
-    /// Solves the mixed-integer program, warm-starting the root LP from a
-    /// previous [`Model::solve_mip_warm`] of a perturbed sibling model and
-    /// returning the root basis for the next link of the chain.
+    /// Solves the mixed-integer program under the anytime contract,
+    /// warm-starting the root LP from a previous solve of a perturbed
+    /// sibling model and returning the root basis for the next link of the
+    /// chain.
     ///
     /// This is the cross-sweep-point reuse layer: a `k`-grid of `PPM(k)`
     /// programs differs only in one right-hand side, so each point's root
     /// relaxation starts from the previous point's optimal basis. Within a
     /// single call, enable [`MipOptions::warm_basis`] to also reuse parent
     /// bases across branch-and-bound nodes.
-    pub fn solve_mip_warm(
-        &self,
-        opts: &MipOptions,
-        warm: Option<&MipWarmStart>,
-    ) -> Result<(Solution, Option<MipWarmStart>)> {
-        branch_bound::solve(self, opts, warm)
-    }
-
-    /// Solves the mixed-integer program under the anytime contract: when
-    /// [`MipOptions::work_budget`] trips mid-search this returns
+    ///
+    /// When [`MipOptions::work_budget`] trips mid-search this returns
     /// [`MipOutcome::Interrupted`] carrying the best incumbent found and the
     /// sharpest dual bound proven, instead of an error. With no budget (or a
     /// budget at least as large as the uninterrupted solve's
-    /// [`Solution::work`]) the result is [`MipOutcome::Complete`] and is
-    /// bitwise identical to [`Model::solve_mip_warm`].
+    /// [`Solution::work`]) the result is [`MipOutcome::Complete`]; with
+    /// `warm` unset it is bitwise identical to [`Model::solve_mip_with`].
     pub fn solve_mip_anytime(
         &self,
         opts: &MipOptions,

@@ -1649,30 +1649,25 @@ fn phase2_costs(model: &Model, ncols: usize, prep: &Prep) -> Vec<f64> {
     c2
 }
 
-/// Solves the continuous relaxation of `model`, optionally warm-starting
-/// from a prior basis; returns the solution plus a basis snapshot for the
-/// next link of the chain.
+/// Solves the continuous relaxation of `model`: the one simplex driver
+/// behind every LP, node and probe solve.
 ///
-/// The warm path refactorizes the stored basic set, runs the **dual
-/// simplex** to repair primal feasibility under the perturbed bounds /
-/// right-hand sides, then the primal simplex to certify optimality (and
-/// absorb any objective perturbation). Numerical trouble on the warm path
-/// falls back to the cold two-phase solve, so a stale-but-same-shape
-/// basis can cost time, never correctness — `Infeasible`/`Unbounded` are
-/// only returned off certified pivots.
-pub(crate) fn solve_warm(
-    model: &Model,
-    warm: Option<&LpWarmStart>,
-) -> Result<(Solution, Option<LpWarmStart>)> {
-    solve_warm_budgeted(model, warm, None, &mut 0)
-}
-
-/// [`solve_warm`] under an optional cooperative work budget (simplex
-/// iterations + refactorizations). When the budget trips mid-solve the
-/// call returns [`SolverError::Interrupted`] carrying the cumulative work
-/// spent — including any work burned by a failed warm attempt before the
-/// cold fallback, so the reported number is the true cost of the call.
-/// `None` is exactly [`solve_warm`].
+/// * `warm` seeds the basis from a prior solve of a same-structured model.
+///   The warm path refactorizes the stored basic set, runs the **dual
+///   simplex** to repair primal feasibility under the perturbed bounds /
+///   right-hand sides, then the primal simplex to certify optimality (and
+///   absorb any objective perturbation). Numerical trouble on the warm path
+///   falls back to the cold two-phase solve, so a stale-but-same-shape
+///   basis can cost time, never correctness — `Infeasible`/`Unbounded` are
+///   only returned off certified pivots.
+/// * `capture` returns a basis snapshot for the next link of a chain
+///   (`None` otherwise). Capturing clones the factorization — m² floats for
+///   the dense inverse — so callers that would discard it pass `false`.
+/// * `work_budget` caps the cooperative work (simplex iterations +
+///   refactorizations). When it trips mid-solve the call returns
+///   [`SolverError::Interrupted`] carrying the cumulative work spent —
+///   including any work burned by a failed warm attempt before the cold
+///   fallback, so the reported number is the true cost of the call.
 ///
 /// `work_out` receives the work this call performed **whatever** the
 /// outcome — success, infeasibility, a budget trip, or a numerical
@@ -1681,64 +1676,63 @@ pub(crate) fn solve_warm(
 /// budget equal to a solve's own reported work could then trip inside
 /// work the report never showed. (On success `work_out` equals the
 /// returned [`Solution::work`].)
-pub(crate) fn solve_warm_budgeted(
+pub(crate) fn solve(
     model: &Model,
     warm: Option<&LpWarmStart>,
+    capture: bool,
     work_budget: Option<u64>,
     work_out: &mut u64,
 ) -> Result<(Solution, Option<LpWarmStart>)> {
     *work_out = 0;
     if model.constrs.is_empty() {
-        return solve(model).map(|s| (s, None));
+        return solve_unconstrained(model).map(|s| (s, None));
     }
     let prep = Prep::new(model);
     let budget = work_budget.unwrap_or(u64::MAX);
     let mut warm_work = 0u64;
-    if let Some(w) = warm {
-        if let Some(mut t) = build_from_warm(model, w, &prep) {
-            t.work_budget = budget;
-            let iter_limit = 200 * (t.m + t.ncols) + 20_000;
-            let c2 = phase2_costs(model, t.ncols, &prep);
-            let attempt = (|| -> Result<()> {
-                t.dual_reoptimize(&c2, iter_limit)?;
-                t.optimize(&c2, iter_limit)?;
-                t.finalize(&c2, iter_limit)?;
-                t.certify()?;
-                // The warm path skips phase 1, so it must run the same
-                // feasibility verdict the cold path applies: a repaired
-                // basis that leaves a row violated at its own scale is an
-                // uncertified answer and falls back to the cold solve.
-                t.verify_feasible()
-            })();
-            match attempt {
-                Ok(()) => {
-                    *work_out = t.work_spent();
-                    let basis = t.capture(model, &prep);
-                    return Ok((extract(model, &t, &prep), basis));
-                }
-                // Unboundedness is certified by a ray off an exact ratio
-                // test and survives the fallback unchanged; everything
-                // else retries cold below — a warm start certifies or
-                // falls back, never returns an uncertified answer. That
-                // includes the dual simplex's `Infeasible`: its "no
-                // entering column" certificate depends on pricing
-                // tolerances, so on badly scaled chains the cold two-phase
-                // solve (whose verdict is taken scale-invariantly in model
-                // units) is the authority. A budget trip also propagates:
-                // falling back cold would burn work *past* the budget.
-                Err(e @ (SolverError::Unbounded | SolverError::Interrupted { .. })) => {
-                    *work_out = t.work_spent();
-                    return Err(e);
-                }
-                Err(_) => {}
+    if let Some(mut t) = warm.and_then(|w| build_from_warm(model, w, &prep)) {
+        t.work_budget = budget;
+        let iter_limit = 200 * (t.m + t.ncols) + 20_000;
+        let c2 = phase2_costs(model, t.ncols, &prep);
+        let attempt = (|| -> Result<()> {
+            t.dual_reoptimize(&c2, iter_limit)?;
+            t.optimize(&c2, iter_limit)?;
+            t.finalize(&c2, iter_limit)?;
+            t.certify()?;
+            // The warm path skips phase 1, so it must run the same
+            // feasibility verdict the cold path applies: a repaired basis
+            // that leaves a row violated at its own scale is an
+            // uncertified answer and falls back to the cold solve.
+            t.verify_feasible()
+        })();
+        match attempt {
+            Ok(()) => {
+                *work_out = t.work_spent();
+                let basis = capture.then(|| t.capture(model, &prep)).flatten();
+                return Ok((extract(model, &t, &prep), basis));
             }
-            // Charge the abandoned warm attempt to the cold fallback.
-            warm_work = t.work_spent();
-            *work_out = warm_work;
+            // Unboundedness is certified by a ray off an exact ratio test
+            // and survives the fallback unchanged; everything else retries
+            // cold below — a warm start certifies or falls back, never
+            // returns an uncertified answer. That includes the dual
+            // simplex's `Infeasible`: its "no entering column" certificate
+            // depends on pricing tolerances, so on badly scaled chains the
+            // cold two-phase solve (whose verdict is taken
+            // scale-invariantly in model units) is the authority. A budget
+            // trip also propagates: falling back cold would burn work
+            // *past* the budget.
+            Err(e @ (SolverError::Unbounded | SolverError::Interrupted { .. })) => {
+                *work_out = t.work_spent();
+                return Err(e);
+            }
+            Err(_) => {}
         }
+        // Charge the abandoned warm attempt to the cold fallback.
+        warm_work = t.work_spent();
+        *work_out = warm_work;
     }
-    let t = solve_cold_budgeted(model, &prep, budget, warm_work, work_out)?;
-    let basis = t.capture(model, &prep);
+    let t = solve_cold(model, &prep, budget, warm_work, work_out)?;
+    let basis = capture.then(|| t.capture(model, &prep)).flatten();
     Ok((extract(model, &t, &prep), basis))
 }
 
@@ -1749,7 +1743,7 @@ pub(crate) fn solve_warm_budgeted(
 /// inaccurate answer. `work_out` receives the work performed (on top of
 /// `work_base`) on **every** exit path, error or not — infeasibility
 /// verdicts cost pivots too, and the MIP ledger counts them.
-fn solve_cold_budgeted<'a>(
+fn solve_cold<'a>(
     model: &'a Model,
     prep: &'a Prep,
     work_budget: u64,
@@ -1813,62 +1807,44 @@ fn solve_cold_budgeted<'a>(
     Ok(t)
 }
 
-/// Solves the continuous relaxation of `model`.
-pub(crate) fn solve(model: &Model) -> Result<Solution> {
-    solve_budgeted(model, None, &mut 0)
-}
-
-/// [`solve`] under an optional cooperative work budget; `None` is exactly
-/// [`solve`]. `work_out` receives the work performed on every exit path
-/// (see [`solve_warm_budgeted`]).
-pub(crate) fn solve_budgeted(
-    model: &Model,
-    work_budget: Option<u64>,
-    work_out: &mut u64,
-) -> Result<Solution> {
-    *work_out = 0;
-    // Degenerate case: no constraints — every variable sits at its best bound.
-    if model.constrs.is_empty() {
-        let minimize = matches!(model.sense, crate::Sense::Minimize);
-        let mut values = Vec::with_capacity(model.vars.len());
-        for v in &model.vars {
-            let c = if minimize { v.cost } else { -v.cost };
-            let x = if c > 0.0 {
-                if v.lo.is_finite() {
-                    v.lo
-                } else {
-                    return Err(SolverError::Unbounded);
-                }
-            } else if c < 0.0 {
-                if v.hi.is_finite() {
-                    v.hi
-                } else {
-                    return Err(SolverError::Unbounded);
-                }
-            } else if v.lo.is_finite() {
+/// The degenerate case with no constraints: every variable sits at its
+/// best bound (no pivots, no basis).
+fn solve_unconstrained(model: &Model) -> Result<Solution> {
+    let minimize = matches!(model.sense, crate::Sense::Minimize);
+    let mut values = Vec::with_capacity(model.vars.len());
+    for v in &model.vars {
+        let c = if minimize { v.cost } else { -v.cost };
+        let x = if c > 0.0 {
+            if v.lo.is_finite() {
                 v.lo
-            } else if v.hi.is_finite() {
+            } else {
+                return Err(SolverError::Unbounded);
+            }
+        } else if c < 0.0 {
+            if v.hi.is_finite() {
                 v.hi
             } else {
-                0.0
-            };
-            values.push(x);
-        }
-        let objective = model.objective_value(&values);
-        return Ok(Solution {
-            values,
-            objective,
-            status: SolveStatus::Optimal,
-            gap: 0.0,
-            iterations: 0,
-            nodes: 1,
-            work: 0,
-        });
+                return Err(SolverError::Unbounded);
+            }
+        } else if v.lo.is_finite() {
+            v.lo
+        } else if v.hi.is_finite() {
+            v.hi
+        } else {
+            0.0
+        };
+        values.push(x);
     }
-
-    let prep = Prep::new(model);
-    let t = solve_cold_budgeted(model, &prep, work_budget.unwrap_or(u64::MAX), 0, work_out)?;
-    Ok(extract(model, &t, &prep))
+    let objective = model.objective_value(&values);
+    Ok(Solution {
+        values,
+        objective,
+        status: SolveStatus::Optimal,
+        gap: 0.0,
+        iterations: 0,
+        nodes: 1,
+        work: 0,
+    })
 }
 
 #[cfg(test)]

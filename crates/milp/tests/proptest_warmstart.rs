@@ -13,15 +13,15 @@
 //!   optimal *vertex* may legitimately differ).
 //!
 //! A second property runs the same contract through the MIP layer:
-//! `solve_mip_warm` with node-level basis reuse against a cold
-//! `solve_mip`, over covering programs whose coverage target drifts.
+//! `solve_mip_anytime` with node-level basis reuse against a cold
+//! `solve_mip_with`, over covering programs whose coverage target drifts.
 //!
 //! Perturbation kind 3 rewrites a whole row's coefficients via
 //! `Model::set_constr`: the per-column fingerprint scheme must either
 //! reuse the basis (edit missed the basic columns) or silently fall back
 //! cold — never disagree with a from-scratch solve.
 
-use milp::{Cmp, LpWarmStart, MipOptions, Model, Sense, SolverError, VarKind};
+use milp::{Cmp, LpWarmStart, MipOptions, MipOutcome, Model, Sense, SolverError, VarKind};
 use proptest::prelude::*;
 
 /// One chain link, decoded from a generated tuple: `kind % 4` selects
@@ -260,10 +260,10 @@ proptest! {
         for (i, &t) in targets.iter().enumerate() {
             let row = row_ids[i % row_ids.len()];
             m.set_rhs(row, t.round());
-            let warm = m.solve_mip_warm(&warm_opts, warm_state.as_ref());
-            let cold = m.solve_mip();
+            let warm = m.solve_mip_anytime(&warm_opts, warm_state.as_ref());
+            let cold = m.solve_mip_with(&MipOptions::default());
             match (warm, cold) {
-                (Ok((w, state)), Ok(c)) => {
+                (Ok((MipOutcome::Complete(w), state)), Ok(c)) => {
                     prop_assert!(
                         (w.objective - c.objective).abs() < 1e-6,
                         "warm {} vs cold {} at target {t}",

@@ -12,7 +12,7 @@
 //!   once per instance structure; successive grid points only move a
 //!   right-hand side ([`milp::Model::set_rhs`]) and re-optimize from the
 //!   previous point's root basis with the dual simplex
-//!   ([`milp::Model::solve_mip_warm`]), with branch-and-bound nodes
+//!   ([`milp::Model::solve_mip_anytime`]), with branch-and-bound nodes
 //!   reusing their parent's basis;
 //! * **delta-aware re-routing** — in routed mode, failing a link re-runs
 //!   Yen/Dijkstra only for the traffics whose path actually crossed it
@@ -21,12 +21,13 @@
 //! Results are *identical* to the one-shot solvers — the chains reuse
 //! bases, never answers: a proven-optimal device count is the unique
 //! optimum either way (pinned by `tests/delta_chain.rs` against
-//! [`solve_ppm_exact`]/[`solve_incremental`]/[`solve_budget`] on the
-//! seed-0 sweeps).
+//! [`solve_ppm_exact`](crate::passive::solve_ppm_exact),
+//! [`solve_incremental`](crate::passive::solve_incremental) and
+//! [`solve_budget`](crate::passive::solve_budget) on the seed-0 sweeps).
 
 use std::collections::HashMap;
 
-use milp::{ConstrId, MipOptions, MipOutcome, MipWarmStart, Model, SolveStatus, VarId};
+use milp::{ConstrId, MipOptions, MipWarmStart, Model, VarId};
 use netgraph::delta::RoutePlan;
 use netgraph::{EdgeId, Graph, NodeId};
 use popgen::TrafficSet;
@@ -110,7 +111,9 @@ impl DeltaInstance {
     ///
     /// # Panics
     ///
-    /// Panics when `ts` references nodes outside `graph`.
+    /// Panics when `ts` references nodes outside `graph`. The benchmark
+    /// (`perfbench`) calls this form; other callers use
+    /// [`DeltaInstance::try_from_traffic`].
     pub fn from_traffic(graph: &Graph, ts: &TrafficSet) -> Self {
         Self::try_from_traffic(graph, ts).unwrap_or_else(|e| panic!("{e}"))
     }
@@ -191,24 +194,21 @@ impl DeltaInstance {
     /// place — one coverage-row update — and the warm chain survives; a
     /// genuinely new support drops the cache.
     ///
-    /// # Panics
-    ///
-    /// Panics on a negative/NaN volume or an out-of-range support edge.
-    pub fn add_flow(&mut self, volume: f64, support: Vec<usize>) -> usize {
-        assert!(
-            volume.is_finite() && volume >= 0.0,
-            "volume must be finite and >= 0"
-        );
-        let mut support = support;
+    /// Like every mutation, it validates first and mutates nothing on
+    /// rejection: an `Err` for a negative/NaN volume or an out-of-range
+    /// support edge (callers such as the `popmond` service forward these
+    /// straight onto their wire errors).
+    pub fn try_add_flow(
+        &mut self,
+        volume: f64,
+        mut support: Vec<usize>,
+    ) -> Result<usize, PlacementError> {
+        check_volume(volume)?;
+        if let Some(&e) = support.iter().find(|&&e| e >= self.num_edges) {
+            return Err(self.link_error("support", e));
+        }
         support.sort_unstable();
         support.dedup();
-        if let Some(&max) = support.last() {
-            assert!(
-                max < self.num_edges,
-                "support references edge {max} >= {}",
-                self.num_edges
-            );
-        }
         self.budget_cache = None;
         if let Some(routing) = self.routing.as_mut() {
             // Explicit-support flows are not endpoint-routed: they keep
@@ -217,69 +217,67 @@ impl DeltaInstance {
         }
         self.traffics.push((volume, support));
         self.refresh_exact_volumes();
-        self.traffics.len() - 1
+        Ok(self.traffics.len() - 1)
     }
 
     /// Removes flow `t` (indices above `t` shift down, as in `Vec::remove`).
     /// A volume-only repair on the cached exact model: the warm chain
     /// survives (the emptied group's coverage weight drops, its row stays).
-    pub fn remove_flow(&mut self, t: usize) {
+    /// `Err` on an out-of-range flow.
+    pub fn try_remove_flow(&mut self, t: usize) -> Result<(), PlacementError> {
+        self.check_traffic(t)?;
         self.budget_cache = None;
         if let Some(routing) = self.routing.as_mut() {
             routing.pair_of.remove(t);
         }
         self.traffics.remove(t);
         self.refresh_exact_volumes();
+        Ok(())
     }
 
     /// Scales the demand of flow `t` by `factor`. A volume-only repair on
-    /// the cached exact model: the warm chain survives.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the scaled volume is negative or not finite.
-    pub fn scale_demand(&mut self, t: usize, factor: f64) {
+    /// the cached exact model: the warm chain survives. `Err` on an
+    /// out-of-range flow, or when the scaled volume is negative or not
+    /// finite.
+    pub fn try_scale_demand(&mut self, t: usize, factor: f64) -> Result<(), PlacementError> {
+        self.check_traffic(t)?;
         let v = self.traffics[t].0 * factor;
-        assert!(
-            v.is_finite() && v >= 0.0,
-            "scaled volume must be finite and >= 0, got {v}"
-        );
+        if !v.is_finite() || v < 0.0 {
+            return Err(PlacementError::new(
+                "factor",
+                format!("scaled volume must be finite and >= 0, got {v}"),
+            ));
+        }
         self.budget_cache = None;
         self.traffics[t].0 = v;
         self.refresh_exact_volumes();
+        Ok(())
     }
 
     /// Sets the demand of flow `t` to an absolute `volume`. The exact-reset
-    /// sibling of [`DeltaInstance::scale_demand`]: scaling back by `1/f`
-    /// does not round-trip in floating point, so chains that must restore a
-    /// bit-exact base state (the resilience scorer between scenarios) set
-    /// the recorded base volume instead. A volume-only repair on the cached
-    /// exact model: the warm chain survives.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the volume is negative or not finite.
-    pub fn set_demand(&mut self, t: usize, volume: f64) {
-        assert!(
-            volume.is_finite() && volume >= 0.0,
-            "volume must be finite and >= 0, got {volume}"
-        );
+    /// sibling of [`DeltaInstance::try_scale_demand`]: scaling back by
+    /// `1/f` does not round-trip in floating point, so chains that must
+    /// restore a bit-exact base state (the resilience scorer between
+    /// scenarios) set the recorded base volume instead. A volume-only
+    /// repair on the cached exact model: the warm chain survives. `Err` on
+    /// an out-of-range flow or a negative/NaN volume.
+    pub fn try_set_demand(&mut self, t: usize, volume: f64) -> Result<(), PlacementError> {
+        self.check_traffic(t)?;
+        check_volume(volume)?;
         self.budget_cache = None;
         self.traffics[t].0 = volume;
         self.refresh_exact_volumes();
+        Ok(())
     }
 
     /// Replaces the pre-installed device set (edges fixed to 1 at zero
-    /// cost — [`solve_incremental`]'s sunk-cost semantics). A bound/cost
-    /// repair on the cached exact model: only the edges whose status
-    /// changed are touched and the warm chain survives.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an out-of-range edge.
-    pub fn set_installed(&mut self, installed: &[usize]) {
-        for &e in installed {
-            assert!(e < self.num_edges, "installed edge {e} out of range");
+    /// cost — [`solve_incremental`](crate::passive::solve_incremental)'s
+    /// sunk-cost semantics). A bound/cost repair on the cached exact model:
+    /// only the edges whose status changed are touched and the warm chain
+    /// survives. `Err` on an out-of-range edge.
+    pub fn try_set_installed(&mut self, installed: &[usize]) -> Result<(), PlacementError> {
+        if let Some(&e) = installed.iter().find(|&&e| e >= self.num_edges) {
+            return Err(self.link_error("installed", e));
         }
         let mut new: Vec<usize> = installed.to_vec();
         new.sort_unstable();
@@ -294,31 +292,45 @@ impl DeltaInstance {
                 }
             }
         }
+        Ok(())
     }
 
     /// Fails link `e`: no device may sit on it — even a pre-installed one
-    /// (failure beats installation in both [`DeltaInstance::solve_exact`]
-    /// and [`DeltaInstance::solve_budget`]) — and, in routed mode, every
-    /// traffic whose path crossed it is re-routed around it (traffics
-    /// disconnected by the failure keep their volume with an empty
-    /// support, i.e. become uncoverable). Returns how many traffics were
-    /// actually re-routed — the delta-aware savings are `traffic_count()`
-    /// minus that.
+    /// (failure beats installation in both the exact and the budget
+    /// solves) — and, in routed mode, every traffic whose path crossed it
+    /// is re-routed around it (traffics disconnected by the failure keep
+    /// their volume with an empty support, i.e. become uncoverable).
+    /// Returns how many traffics were actually re-routed — the delta-aware
+    /// savings are `traffic_count()` minus that. `Err` on an out-of-range
+    /// link.
     ///
     /// When nothing re-routes (unrouted chains, or no traffic crossed the
     /// link), this is a pure bound repair on the cached exact model —
     /// `x_e` fixed to 0 — and the next solve is an incremental dual-simplex
     /// re-optimization, not a cold rebuild.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an out-of-range edge.
-    pub fn fail_link(&mut self, e: usize) -> usize {
-        assert!(e < self.num_edges, "link {e} out of range");
+    pub fn try_fail_link(&mut self, e: usize) -> Result<usize, PlacementError> {
+        self.check_link(e)?;
         if !self.disabled.contains(&e) {
             self.disabled.push(e);
             self.disabled.sort_unstable();
         }
+        Ok(self.relink(e))
+    }
+
+    /// Restores a previously failed link (an *improving* change: in
+    /// routed mode every traffic is re-routed from scratch). Returns the
+    /// number of re-routed traffics. Like [`DeltaInstance::try_fail_link`],
+    /// a re-route-free restore keeps the warm chain alive. `Err` on an
+    /// out-of-range link.
+    pub fn try_restore_link(&mut self, e: usize) -> Result<usize, PlacementError> {
+        self.check_link(e)?;
+        self.disabled.retain(|&d| d != e);
+        Ok(self.relink(e))
+    }
+
+    /// After link `e` toggled: re-routes, then repairs or drops the cached
+    /// models. Returns the number of re-routed traffics.
+    fn relink(&mut self, e: usize) -> usize {
         let rerouted = self.reroute();
         self.budget_cache = None;
         if rerouted > 0 {
@@ -330,21 +342,37 @@ impl DeltaInstance {
         rerouted
     }
 
-    /// Restores a previously failed link (an *improving* change: in
-    /// routed mode every traffic is re-routed from scratch). Returns the
-    /// number of re-routed traffics. Like [`DeltaInstance::fail_link`],
-    /// a re-route-free restore keeps the warm chain alive.
-    pub fn restore_link(&mut self, e: usize) -> usize {
-        assert!(e < self.num_edges, "link {e} out of range");
-        self.disabled.retain(|&d| d != e);
-        let rerouted = self.reroute();
-        self.budget_cache = None;
-        if rerouted > 0 {
-            self.exact_cache = None;
-        } else if let Some(cache) = self.exact_cache.as_mut() {
-            sync_exact_edge(cache, &self.installed, &self.disabled, e);
+    /// Checks that link `e` exists.
+    fn check_link(&self, e: usize) -> Result<(), PlacementError> {
+        if e >= self.num_edges {
+            return Err(self.link_error("link", e));
         }
-        rerouted
+        Ok(())
+    }
+
+    /// The out-of-range error for link `e` in `field`.
+    fn link_error(&self, field: &'static str, e: usize) -> PlacementError {
+        PlacementError::new(
+            field,
+            format!(
+                "link {e} out of range (instance has {} links)",
+                self.num_edges
+            ),
+        )
+    }
+
+    /// Checks that flow `t` exists.
+    fn check_traffic(&self, t: usize) -> Result<(), PlacementError> {
+        if t >= self.traffics.len() {
+            return Err(PlacementError::new(
+                "traffic",
+                format!(
+                    "traffic {t} out of range (instance has {} traffics)",
+                    self.traffics.len()
+                ),
+            ));
+        }
+        Ok(())
     }
 
     /// Re-routes against the current failure set; no-op without routing.
@@ -410,13 +438,13 @@ impl DeltaInstance {
     }
 
     /// Exact minimum-device `PPM(k)` on the current state, warm-started
-    /// from the previous solve of this chain. Identical results to
-    /// [`solve_ppm_exact`] (no installed devices) / [`solve_incremental`]
-    /// (with them); `None` when the target is unreachable.
-    ///
-    /// Deprecated shim: new code should build a
-    /// [`SolveRequest`](crate::solve::SolveRequest) and call
-    /// [`DeltaInstance::solve`] — this method now routes through it.
+    /// from the previous solve of this chain: [`DeltaInstance::solve`] on
+    /// `SolveRequest::ppm(k).with_exact_options(opts)`, unwrapped to the
+    /// placement. Identical results to
+    /// [`solve_ppm_exact`](crate::passive::solve_ppm_exact) (no installed
+    /// devices) / [`solve_incremental`](crate::passive::solve_incremental)
+    /// (with them); `None` when the target is unreachable. A degraded
+    /// anytime answer collapses to its partial placement.
     ///
     /// # Panics
     ///
@@ -424,8 +452,6 @@ impl DeltaInstance {
     pub fn solve_exact(&mut self, k: f64, opts: &ExactOptions) -> Option<PpmSolution> {
         let req = SolveRequest::ppm(k).with_exact_options(opts);
         let outcome = self.solve(&req).unwrap_or_else(|e| panic!("{e}"));
-        // Legacy surface: a degraded anytime answer collapses to its
-        // partial placement (the unified API keeps the record).
         let outcome = match outcome {
             SolveOutcome::Degraded { partial, .. } => *partial,
             other => other,
@@ -512,52 +538,18 @@ impl DeltaInstance {
             cache.warm = warm;
         }
         let num_edges = self.num_edges;
-        let extract = |sol: &milp::Solution| -> Vec<usize> {
-            (0..num_edges)
+        Anytime::from_mip(outcome, |sol, proven| {
+            let edges = (0..num_edges)
                 .filter(|&e| sol.is_one(cache.xs[e], 1e-4))
-                .collect()
-        };
-        match outcome {
-            MipOutcome::Complete(sol) => Anytime::Done(Some(PpmSolution::from_edges(
-                &inst,
-                extract(&sol),
-                sol.status == SolveStatus::Optimal,
-            ))),
-            MipOutcome::Interrupted {
-                incumbent,
-                bound,
-                work_spent,
-            } => Anytime::Cut {
-                incumbent: incumbent
-                    .map(|sol| Some(PpmSolution::from_edges(&inst, extract(&sol), false))),
-                bound,
-                work_spent,
-            },
-        }
+                .collect();
+            Some(PpmSolution::from_edges(&inst, edges, proven))
+        })
     }
 
-    /// Maximum-coverage placement of at most `budget` new devices on top
-    /// of the installed set, warm-started along the chain. Identical
-    /// results to [`solve_budget`].
-    ///
-    /// Deprecated shim: new code should build a
-    /// [`SolveRequest::budget`](crate::solve::SolveRequest::budget) request
-    /// and call [`DeltaInstance::solve`] — this method now routes through
-    /// it.
-    pub fn solve_budget(&mut self, budget: usize, opts: &ExactOptions) -> BudgetSolution {
-        let req = SolveRequest::budget(budget).with_exact_options(opts);
-        let outcome = self.solve(&req).unwrap_or_else(|e| panic!("{e}"));
-        let outcome = match outcome {
-            SolveOutcome::Degraded { partial, .. } => *partial,
-            other => other,
-        };
-        match outcome {
-            SolveOutcome::Budget(sol) => sol,
-            other => unreachable!("budget request produced {other:?}"),
-        }
-    }
-
-    /// The budget-solve kernel behind [`DeltaInstance::solve`].
+    /// The budget-solve kernel behind [`DeltaInstance::solve`]: maximum
+    /// coverage with at most `budget` new devices on top of the installed
+    /// set, warm-started along the chain. Identical results to
+    /// [`solve_budget`](crate::passive::solve_budget).
     pub(crate) fn solve_budget_core(
         &mut self,
         budget: usize,
@@ -601,7 +593,7 @@ impl DeltaInstance {
             cache.warm = warm;
         }
         let num_edges = self.num_edges;
-        let to_budget_solution = |sol: &milp::Solution, proven: bool| -> BudgetSolution {
+        Anytime::from_mip(outcome, |sol, proven| {
             let edges: Vec<usize> = (0..num_edges)
                 .filter(|&e| sol.is_one(cache.xs[e], 1e-4))
                 .collect();
@@ -612,151 +604,19 @@ impl DeltaInstance {
                 total_volume: inst.total_volume(),
                 proven_optimal: proven,
             }
-        };
-        match outcome {
-            MipOutcome::Complete(sol) => {
-                let proven = sol.status == SolveStatus::Optimal;
-                Anytime::Done(to_budget_solution(&sol, proven))
-            }
-            MipOutcome::Interrupted {
-                incumbent,
-                bound,
-                work_spent,
-            } => Anytime::Cut {
-                incumbent: incumbent.map(|sol| to_budget_solution(&sol, false)),
-                bound,
-                work_spent,
-            },
-        }
+        })
     }
+}
 
-    /// Coverage gain (absolute volume) of buying `extra` devices on top
-    /// of the installed base — [`crate::passive::expected_gain`], chained.
-    pub fn expected_gain(&mut self, extra: usize, opts: &ExactOptions) -> f64 {
-        let before = self.instance().coverage(&self.installed);
-        let after = self.solve_budget(extra, opts).coverage;
-        (after - before).max(0.0)
+/// Checks that a flow volume is finite and non-negative.
+fn check_volume(volume: f64) -> Result<(), PlacementError> {
+    if !volume.is_finite() || volume < 0.0 {
+        return Err(PlacementError::new(
+            "volume",
+            format!("volume must be finite and >= 0, got {volume}"),
+        ));
     }
-
-    // --- Fallible mutation surface -------------------------------------
-    //
-    // Typed-error (`PlacementError`) forms of the panicking mutations
-    // above, for callers that forward untrusted input (the `popmond`
-    // service maps these straight onto its wire errors). Each validates
-    // first and mutates nothing on rejection.
-
-    /// Checks that link `e` exists.
-    fn check_link(&self, e: usize) -> Result<(), PlacementError> {
-        if e >= self.num_edges {
-            return Err(PlacementError::new(
-                "link",
-                format!(
-                    "link {e} out of range (instance has {} links)",
-                    self.num_edges
-                ),
-            ));
-        }
-        Ok(())
-    }
-
-    /// Checks that flow `t` exists.
-    fn check_traffic(&self, t: usize) -> Result<(), PlacementError> {
-        if t >= self.traffics.len() {
-            return Err(PlacementError::new(
-                "traffic",
-                format!(
-                    "traffic {t} out of range (instance has {} traffics)",
-                    self.traffics.len()
-                ),
-            ));
-        }
-        Ok(())
-    }
-
-    /// Fallible [`DeltaInstance::fail_link`].
-    pub fn try_fail_link(&mut self, e: usize) -> Result<usize, PlacementError> {
-        self.check_link(e)?;
-        Ok(self.fail_link(e))
-    }
-
-    /// Fallible [`DeltaInstance::restore_link`].
-    pub fn try_restore_link(&mut self, e: usize) -> Result<usize, PlacementError> {
-        self.check_link(e)?;
-        Ok(self.restore_link(e))
-    }
-
-    /// Fallible [`DeltaInstance::scale_demand`].
-    pub fn try_scale_demand(&mut self, t: usize, factor: f64) -> Result<(), PlacementError> {
-        self.check_traffic(t)?;
-        let v = self.traffics[t].0 * factor;
-        if !v.is_finite() || v < 0.0 {
-            return Err(PlacementError::new(
-                "factor",
-                format!("scaled volume must be finite and >= 0, got {v}"),
-            ));
-        }
-        self.scale_demand(t, factor);
-        Ok(())
-    }
-
-    /// Fallible [`DeltaInstance::set_demand`].
-    pub fn try_set_demand(&mut self, t: usize, volume: f64) -> Result<(), PlacementError> {
-        self.check_traffic(t)?;
-        if !volume.is_finite() || volume < 0.0 {
-            return Err(PlacementError::new(
-                "volume",
-                format!("volume must be finite and >= 0, got {volume}"),
-            ));
-        }
-        self.set_demand(t, volume);
-        Ok(())
-    }
-
-    /// Fallible [`DeltaInstance::add_flow`].
-    pub fn try_add_flow(
-        &mut self,
-        volume: f64,
-        support: Vec<usize>,
-    ) -> Result<usize, PlacementError> {
-        if !volume.is_finite() || volume < 0.0 {
-            return Err(PlacementError::new(
-                "volume",
-                format!("volume must be finite and >= 0, got {volume}"),
-            ));
-        }
-        if let Some(&e) = support.iter().find(|&&e| e >= self.num_edges) {
-            return Err(PlacementError::new(
-                "support",
-                format!(
-                    "link {e} out of range (instance has {} links)",
-                    self.num_edges
-                ),
-            ));
-        }
-        Ok(self.add_flow(volume, support))
-    }
-
-    /// Fallible [`DeltaInstance::remove_flow`].
-    pub fn try_remove_flow(&mut self, t: usize) -> Result<(), PlacementError> {
-        self.check_traffic(t)?;
-        self.remove_flow(t);
-        Ok(())
-    }
-
-    /// Fallible [`DeltaInstance::set_installed`].
-    pub fn try_set_installed(&mut self, installed: &[usize]) -> Result<(), PlacementError> {
-        if let Some(&e) = installed.iter().find(|&&e| e >= self.num_edges) {
-            return Err(PlacementError::new(
-                "installed",
-                format!(
-                    "link {e} out of range (instance has {} links)",
-                    self.num_edges
-                ),
-            ));
-        }
-        self.set_installed(installed);
-        Ok(())
-    }
+    Ok(())
 }
 
 /// Re-syncs `x_e`'s bounds and cost in a cached exact model after edge `e`
@@ -816,7 +676,7 @@ mod tests {
     fn chain_matches_incremental_with_installed_base() {
         let inst = fixture_figure3();
         let mut delta = DeltaInstance::from_instance(&inst);
-        delta.set_installed(&[0]);
+        delta.try_set_installed(&[0]).unwrap();
         let opts = ExactOptions::default();
         for k in [0.75, 1.0] {
             let chained = delta.solve_exact(k, &opts).unwrap();
@@ -832,7 +692,10 @@ mod tests {
         let mut delta = DeltaInstance::from_instance(&inst);
         let opts = ExactOptions::default();
         for b in 0..=3 {
-            let chained = delta.solve_budget(b, &opts);
+            let req = SolveRequest::budget(b).with_exact_options(&opts);
+            let Ok(SolveOutcome::Budget(chained)) = delta.solve(&req) else {
+                panic!("expected a budget outcome");
+            };
             let fresh = solve_budget(&inst, b, &[], &opts);
             assert!(
                 (chained.coverage - fresh.coverage).abs() < 1e-9,
@@ -851,16 +714,60 @@ mod tests {
         // Scale one demand, add a flow, remove a flow — after each delta
         // the chained answer must equal the one-shot answer on the
         // materialized instance.
-        delta.scale_demand(0, 3.0);
-        let t = delta.add_flow(2.5, vec![3, 4]);
+        delta.try_scale_demand(0, 3.0).unwrap();
+        let t = delta.try_add_flow(2.5, vec![3, 4]).unwrap();
         let a = delta.solve_exact(0.9, &opts).unwrap();
         let fresh = solve_ppm_exact(&delta.instance(), 0.9, &opts).unwrap();
         assert_eq!(a.device_count(), fresh.device_count());
 
-        delta.remove_flow(t);
+        delta.try_remove_flow(t).unwrap();
         let b = delta.solve_exact(0.9, &opts).unwrap();
         let fresh = solve_ppm_exact(&delta.instance(), 0.9, &opts).unwrap();
         assert_eq!(b.device_count(), fresh.device_count());
+    }
+
+    #[test]
+    fn rejected_mutations_leave_the_state_untouched() {
+        type Mutation = Box<dyn Fn(&mut DeltaInstance) -> Result<(), PlacementError>>;
+        let inst = fixture_figure3();
+        let mut delta = DeltaInstance::from_instance(&inst);
+        delta.try_set_installed(&[0]).unwrap();
+        delta.try_fail_link(2).unwrap();
+        let (m, n) = (delta.num_edges(), delta.traffic_count());
+        let cases: Vec<(&str, Mutation)> = vec![
+            ("link", Box::new(move |d| d.try_fail_link(m).map(drop))),
+            ("link", Box::new(move |d| d.try_restore_link(m).map(drop))),
+            ("traffic", Box::new(move |d| d.try_scale_demand(n, 2.0))),
+            ("factor", Box::new(|d| d.try_scale_demand(0, -1.0))),
+            ("factor", Box::new(|d| d.try_scale_demand(0, f64::NAN))),
+            ("traffic", Box::new(move |d| d.try_set_demand(n, 1.0))),
+            ("volume", Box::new(|d| d.try_set_demand(0, -1.0))),
+            ("volume", Box::new(|d| d.try_set_demand(0, f64::NAN))),
+            (
+                "volume",
+                Box::new(|d| d.try_add_flow(-1.0, vec![0]).map(drop)),
+            ),
+            (
+                "volume",
+                Box::new(|d| d.try_add_flow(f64::NAN, vec![0]).map(drop)),
+            ),
+            (
+                "support",
+                Box::new(move |d| d.try_add_flow(1.0, vec![0, m]).map(drop)),
+            ),
+            ("traffic", Box::new(move |d| d.try_remove_flow(n))),
+            ("installed", Box::new(move |d| d.try_set_installed(&[1, m]))),
+        ];
+        for (field, mutate) in cases {
+            let before = delta.instance();
+            let err = mutate(&mut delta).unwrap_err();
+            assert_eq!(err.field, field, "{err}");
+            let after = delta.instance();
+            assert_eq!(after.num_edges, before.num_edges, "{err}");
+            assert_eq!(after.traffics, before.traffics, "{err}");
+            assert_eq!(delta.installed(), &[0], "{err}");
+            assert_eq!(delta.disabled(), &[2], "{err}");
+        }
     }
 
     #[test]
@@ -871,7 +778,7 @@ mod tests {
         let free = delta.solve_exact(1.0, &opts).unwrap();
         assert_eq!(free.edges, vec![1, 2]);
         // Unrouted mode: failing link 1 only forbids the device there.
-        delta.fail_link(1);
+        delta.try_fail_link(1).unwrap();
         let constrained = delta.solve_exact(1.0, &opts).unwrap();
         assert!(!constrained.edges.contains(&1));
         assert!(delta.instance().is_feasible(&constrained.edges, 1.0));
@@ -883,8 +790,8 @@ mod tests {
         let inst = fixture_figure3();
         let opts = ExactOptions::default();
         let mut delta = DeltaInstance::from_instance(&inst);
-        delta.set_installed(&[1]);
-        delta.fail_link(1);
+        delta.try_set_installed(&[1]).unwrap();
+        delta.try_fail_link(1).unwrap();
         // Exact: the dead device is gone and the cover must rebuild
         // around it.
         let exact = delta.solve_exact(1.0, &opts).unwrap();
@@ -895,7 +802,10 @@ mod tests {
         assert!(inst.is_feasible(&exact.edges, 1.0));
         // Budget: same precedence — with budget 0 nothing can be placed
         // and the dead installed device contributes no coverage.
-        let b = delta.solve_budget(0, &opts);
+        let req = SolveRequest::budget(0).with_exact_options(&opts);
+        let Ok(SolveOutcome::Budget(b)) = delta.solve(&req) else {
+            panic!("expected a budget outcome");
+        };
         assert!(
             b.edges.is_empty(),
             "dead installed device must not count, got {:?}",
@@ -914,15 +824,15 @@ mod tests {
 
         // Scale, re-add an existing support group, remove — all volume-only
         // repairs: the cached model must survive every one of them.
-        delta.scale_demand(0, 2.5);
+        delta.try_scale_demand(0, 2.5).unwrap();
         assert!(delta.exact_cache.is_some(), "scale must repair in place");
         let support = delta.traffics[1].1.clone();
-        let t = delta.add_flow(1.5, support);
+        let t = delta.try_add_flow(1.5, support).unwrap();
         assert!(
             delta.exact_cache.is_some(),
-            "existing-group add_flow must repair in place"
+            "existing-group try_add_flow must repair in place"
         );
-        delta.remove_flow(t);
+        delta.try_remove_flow(t).unwrap();
         assert!(delta.exact_cache.is_some(), "remove must repair in place");
 
         // And the repaired model answers exactly like a cold solve.
@@ -932,7 +842,7 @@ mod tests {
         assert!(delta.instance().is_feasible(&chained.edges, 0.9));
 
         // A genuinely new support group is structural: cache dropped.
-        delta.add_flow(1.0, vec![0, 3]);
+        delta.try_add_flow(1.0, vec![0, 3]).unwrap();
         assert!(
             delta.exact_cache.is_none(),
             "new support group must drop the cache"
@@ -950,7 +860,7 @@ mod tests {
         let _ = delta.solve_exact(1.0, &opts).unwrap();
 
         // Unrouted fail/restore never re-routes: pure bound repairs.
-        delta.fail_link(1);
+        delta.try_fail_link(1).unwrap();
         assert!(delta.exact_cache.is_some(), "fail must repair in place");
         let a = delta.solve_exact(1.0, &opts).unwrap();
         let fresh = solve_ppm_exact(&delta.instance(), 1.0, &opts).unwrap();
@@ -960,23 +870,23 @@ mod tests {
         assert!(delta.instance().is_feasible(&a.edges, 1.0));
         assert!(a.device_count() >= fresh.device_count());
 
-        delta.restore_link(1);
+        delta.try_restore_link(1).unwrap();
         assert!(delta.exact_cache.is_some(), "restore must repair in place");
         let b = delta.solve_exact(1.0, &opts).unwrap();
         let cold = solve_ppm_exact(&delta.instance(), 1.0, &opts).unwrap();
         assert_eq!(b.device_count(), cold.device_count());
 
-        // set_installed is a cost/bound repair on the changed edges only.
-        delta.set_installed(&[0]);
+        // try_set_installed is a cost/bound repair on the changed edges only.
+        delta.try_set_installed(&[0]).unwrap();
         assert!(
             delta.exact_cache.is_some(),
-            "set_installed must repair in place"
+            "try_set_installed must repair in place"
         );
         let c = delta.solve_exact(1.0, &opts).unwrap();
         let cold = solve_incremental(&delta.instance(), 1.0, &[0], &opts).unwrap();
         assert_eq!(c.device_count(), cold.device_count());
         assert!(c.edges.contains(&0));
-        delta.set_installed(&[]);
+        delta.try_set_installed(&[]).unwrap();
         let d = delta.solve_exact(1.0, &opts).unwrap();
         let cold = solve_ppm_exact(&delta.instance(), 1.0, &opts).unwrap();
         assert_eq!(d.device_count(), cold.device_count());
@@ -1002,21 +912,21 @@ mod tests {
         type Mutation = Box<dyn Fn(&mut DeltaInstance)>;
         let script: Vec<Mutation> = vec![
             Box::new(|d| {
-                d.fail_link(0);
+                d.try_fail_link(0).unwrap();
             }),
-            Box::new(|d| d.scale_demand(2, 1.75)),
+            Box::new(|d| d.try_scale_demand(2, 1.75).unwrap()),
             Box::new(move |d| {
-                d.fail_link(m - 1);
+                d.try_fail_link(m - 1).unwrap();
             }),
             Box::new(|d| {
-                d.restore_link(0);
+                d.try_restore_link(0).unwrap();
             }),
-            Box::new(|d| d.set_installed(&[1, 3])),
-            Box::new(|d| d.scale_demand(0, 0.25)),
+            Box::new(|d| d.try_set_installed(&[1, 3]).unwrap()),
+            Box::new(|d| d.try_scale_demand(0, 0.25).unwrap()),
             Box::new(move |d| {
-                d.restore_link(m - 1);
+                d.try_restore_link(m - 1).unwrap();
             }),
-            Box::new(|d| d.set_installed(&[])),
+            Box::new(|d| d.try_set_installed(&[]).unwrap()),
         ];
         for (step, mutate) in script.iter().enumerate() {
             mutate(&mut delta);
@@ -1091,7 +1001,7 @@ mod tests {
             .iter()
             .filter(|(_, s)| s.contains(&heavy))
             .count();
-        let recomputed = delta.fail_link(heavy);
+        let recomputed = delta.try_fail_link(heavy).unwrap();
         assert_eq!(
             recomputed, crossing,
             "exactly the crossing traffics re-route"
@@ -1135,13 +1045,13 @@ mod tests {
         // the surviving endpoint-routed traffics must keep re-routing
         // against their own pairs (this used to index the route plan
         // with post-churn traffic indices).
-        delta.remove_flow(1);
-        let added = delta.add_flow(4.0, vec![0, 1]);
+        delta.try_remove_flow(1).unwrap();
+        let added = delta.try_add_flow(4.0, vec![0, 1]).unwrap();
         let mut endpoints: Vec<_> = ts.traffics.iter().map(|t| (t.src, t.dst)).collect();
         endpoints.remove(1);
 
         let heavy = delta.instance().traffics[0].1[0];
-        delta.fail_link(heavy);
+        delta.try_fail_link(heavy).unwrap();
         let after = delta.instance();
         assert_eq!(
             after.traffics[added].1,
@@ -1170,7 +1080,7 @@ mod tests {
 
         // Restoring is an improving change (full recompute): alignment
         // must survive that path too.
-        delta.restore_link(heavy);
+        delta.try_restore_link(heavy).unwrap();
         let restored = delta.instance();
         for (i, &(src, dst)) in endpoints.iter().enumerate() {
             assert_eq!(

@@ -12,14 +12,14 @@
 //! row count on symmetric-routing instances), then warm-starts the MIP with
 //! the best greedy solution so branch-and-bound prunes from the start.
 
-use milp::{Cmp, MipOptions, MipOutcome, Model, Sense, SolveStatus, VarId, VarKind};
+use milp::{Cmp, MipOptions, Model, Sense, VarId, VarKind};
 
 use crate::instance::PpmInstance;
 use crate::passive::{greedy_adaptive, greedy_static, PpmSolution};
 use crate::solve::Anytime;
 
 /// Options for the exact solvers.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExactOptions {
     /// Node limit handed to branch-and-bound.
     pub max_nodes: usize,
@@ -243,29 +243,18 @@ fn solve_with_anytime(
         Err(milp::SolverError::Infeasible) => return Anytime::Done(None),
         Err(e) => panic!("MIP solver failed unexpectedly: {e}"),
     };
-    match outcome {
-        MipOutcome::Complete(sol) => {
-            let proven = sol.status == SolveStatus::Optimal;
-            let solution = PpmSolution::from_edges(inst, extract(&sol), proven);
-            debug_assert!(
-                inst.is_feasible(&solution.edges, k),
-                "exact solver produced an infeasible selection: coverage {} < {}",
-                solution.coverage,
-                target
-            );
-            Anytime::Done(Some(solution))
-        }
-        MipOutcome::Interrupted {
-            incumbent,
-            bound,
-            work_spent,
-        } => Anytime::Cut {
-            incumbent: incumbent
-                .map(|sol| Some(PpmSolution::from_edges(inst, extract(&sol), false))),
-            bound,
-            work_spent,
-        },
+    let attempt = Anytime::from_mip(outcome, |sol, proven| {
+        Some(PpmSolution::from_edges(inst, extract(sol), proven))
+    });
+    if let Anytime::Done(Some(solution)) = &attempt {
+        debug_assert!(
+            inst.is_feasible(&solution.edges, k),
+            "exact solver produced an infeasible selection: coverage {} < {}",
+            solution.coverage,
+            target
+        );
     }
+    attempt
 }
 
 /// Seeds `model` with the better of the two greedy solutions on the

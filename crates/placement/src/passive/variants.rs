@@ -10,7 +10,7 @@
 //!   or a set of new devices": the budget problem on top of an installed
 //!   base, reported as the coverage delta.
 
-use milp::{Cmp, MipOptions, MipOutcome, Model, Sense, SolveStatus, VarId, VarKind};
+use milp::{Cmp, MipOptions, Model, Sense, SolveStatus, VarId, VarKind};
 
 use crate::instance::PpmInstance;
 use crate::passive::{build_lp2_target, ExactOptions, PpmSolution};
@@ -149,7 +149,10 @@ pub(crate) fn solve_budget_anytime(
         work_budget: opts.work_budget,
         ..Default::default()
     };
-    let to_budget_solution = |sol: &milp::Solution, proven: bool| -> BudgetSolution {
+    let (outcome, _) = model
+        .solve_mip_anytime(&mip_opts, None)
+        .expect("budget problem is always feasible");
+    Anytime::from_mip(outcome, |sol, proven| {
         let edges: Vec<usize> = (0..merged.num_edges)
             .filter(|&e| sol.is_one(xs[e], 1e-4))
             .collect();
@@ -160,25 +163,7 @@ pub(crate) fn solve_budget_anytime(
             total_volume: inst.total_volume(),
             proven_optimal: proven,
         }
-    };
-    let (outcome, _) = model
-        .solve_mip_anytime(&mip_opts, None)
-        .expect("budget problem is always feasible");
-    match outcome {
-        MipOutcome::Complete(sol) => {
-            let proven = sol.status == SolveStatus::Optimal;
-            Anytime::Done(to_budget_solution(&sol, proven))
-        }
-        MipOutcome::Interrupted {
-            incumbent,
-            bound,
-            work_spent,
-        } => Anytime::Cut {
-            incumbent: incumbent.map(|sol| to_budget_solution(&sol, false)),
-            bound,
-            work_spent,
-        },
-    }
+    })
 }
 
 /// Expected coverage gain (absolute volume) from buying `extra` devices on

@@ -1,25 +1,19 @@
 //! The unified solve API: one typed request/outcome pair for every
 //! placement entry point.
 //!
-//! The solver surface grew three call-signature dialects — the batch
-//! functions ([`solve_ppm_exact`](crate::passive::solve_ppm_exact),
-//! [`greedy_static`], [`solve_budget`](crate::passive::solve_budget)),
-//! the chained methods on [`DeltaInstance`], and the `popmond` service's
-//! wire queries. [`SolveRequest`] → [`SolveOutcome`] unifies them: the
-//! request carries the objective (`PPM(k)` or `APM`), the method (greedy
-//! or exact), and the solver knobs that used to ride [`ExactOptions`];
-//! the outcome is one enum over the existing solution types. Validation
-//! ([`SolveRequest::validate`]) happens once, with typed
-//! [`PlacementError`]s, before any solver state is touched.
-//!
-//! The pre-existing entry points remain as thin shims over this module
-//! (or as the kernels it dispatches to) so solver behavior — and every
-//! golden row derived from it — is byte-identical; prefer the unified API
-//! in new code. See DESIGN.md § "The solve API" for the deprecation path.
+//! The batch functions ([`solve_ppm_exact`](crate::passive::solve_ppm_exact),
+//! [`greedy_static`], [`solve_budget`](crate::passive::solve_budget)), the
+//! chained [`DeltaInstance`] and the `popmond` service's wire queries all
+//! meet here: [`SolveRequest`] carries the objective (`PPM(k)` or `APM`),
+//! the method (greedy or exact) and the solver knobs as one embedded
+//! [`ExactOptions`]; [`SolveOutcome`] is one enum over the existing
+//! solution types. Validation ([`SolveRequest::validate`]) happens once,
+//! with typed [`PlacementError`]s, before any solver state is touched.
+//! See DESIGN.md § "The solve API".
 
 use std::fmt;
-use std::time::Duration;
 
+use milp::{MipOutcome, SolveStatus};
 use netgraph::{Graph, NodeId};
 
 use crate::active::{compute_probes, place_beacons_greedy, place_beacons_ilp};
@@ -82,49 +76,34 @@ pub enum SolveMethod {
     Exact,
 }
 
-/// A validated solve request: objective, method, and the solver knobs
-/// that previously rode [`ExactOptions`] (defaults match it exactly).
+/// A validated solve request: objective, method, and the exact solvers'
+/// knobs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SolveRequest {
     /// What to optimize.
     pub objective: Objective,
     /// Greedy or exact.
     pub method: SolveMethod,
-    /// Branch-and-bound node budget for exact solves (≥ 1).
-    pub node_budget: usize,
     /// `Some(b)`: maximum-coverage placement of at most `b` new devices
     /// (the budget variant) instead of minimum devices at target `k`.
     /// Exact PPM only.
     pub device_budget: Option<usize>,
-    /// Optional wall-clock bound for exact solves (forfeits proven
-    /// optimality on expiry; keep `None` in deterministic reports).
-    pub time_limit: Option<Duration>,
-    /// Relative MIP gap for exact solves.
-    pub rel_gap: f64,
-    /// Install a greedy incumbent before exact solves (plain instances).
-    pub warm_start: bool,
-    /// Deterministic work budget for exact solves (simplex iterations +
-    /// refactorizations + branch-and-bound nodes). `None` (the default)
-    /// runs to the legacy limits, byte-identical to the pre-budget
-    /// behavior; `Some(units)` makes the solve *anytime*: when the budget
-    /// trips, the dispatcher returns [`SolveOutcome::Degraded`] carrying
-    /// the partial exact answer (or a greedy fallback) instead of
+    /// Knobs of exact solves: node budget (`max_nodes`, ≥ 1), wall-clock
+    /// limit, relative gap, greedy warm start, and the deterministic work
+    /// budget. With `work_budget` set the solve is *anytime*: when the
+    /// budget trips, the dispatcher returns [`SolveOutcome::Degraded`]
+    /// carrying the partial exact answer (or a greedy fallback) instead of
     /// blocking until branch-and-bound finishes.
-    pub work_budget: Option<u64>,
+    pub exact: ExactOptions,
 }
 
 impl SolveRequest {
     fn with_objective(objective: Objective) -> Self {
-        let defaults = ExactOptions::default();
         SolveRequest {
             objective,
             method: SolveMethod::Exact,
-            node_budget: defaults.max_nodes,
             device_budget: None,
-            time_limit: defaults.time_limit,
-            rel_gap: defaults.rel_gap,
-            warm_start: defaults.warm_start,
-            work_budget: defaults.work_budget,
+            exact: ExactOptions::default(),
         }
     }
 
@@ -160,38 +139,22 @@ impl SolveRequest {
 
     /// Sets the branch-and-bound node budget.
     pub fn with_node_budget(mut self, node_budget: usize) -> Self {
-        self.node_budget = node_budget;
+        self.exact.max_nodes = node_budget;
         self
     }
 
     /// Caps the exact solve at `units` deterministic work units (see
-    /// [`SolveRequest::work_budget`]): the solve becomes *anytime* and may
+    /// [`SolveRequest::exact`]): the solve becomes *anytime* and may
     /// return [`SolveOutcome::Degraded`].
     pub fn with_work_budget(mut self, units: u64) -> Self {
-        self.work_budget = Some(units);
+        self.exact.work_budget = Some(units);
         self
     }
 
-    /// Copies every solver knob from an [`ExactOptions`] (the bridge the
-    /// deprecated shims use; [`SolveRequest::exact_options`] inverts it).
+    /// Replaces every exact-solver knob with `opts`.
     pub fn with_exact_options(mut self, opts: &ExactOptions) -> Self {
-        self.node_budget = opts.max_nodes;
-        self.time_limit = opts.time_limit;
-        self.rel_gap = opts.rel_gap;
-        self.warm_start = opts.warm_start;
-        self.work_budget = opts.work_budget;
+        self.exact = opts.clone();
         self
-    }
-
-    /// The request's knobs as the kernel-level [`ExactOptions`].
-    pub fn exact_options(&self) -> ExactOptions {
-        ExactOptions {
-            max_nodes: self.node_budget,
-            time_limit: self.time_limit,
-            rel_gap: self.rel_gap,
-            warm_start: self.warm_start,
-            work_budget: self.work_budget,
-        }
     }
 
     /// Validates the request with typed errors (the same bounds the
@@ -207,16 +170,17 @@ impl SolveRequest {
                 ));
             }
         }
-        if self.node_budget == 0 {
+        if self.exact.max_nodes == 0 {
             return Err(PlacementError::new(
                 "node_budget",
                 "must be at least 1".to_string(),
             ));
         }
-        if !self.rel_gap.is_finite() || self.rel_gap < 0.0 {
+        let rel_gap = self.exact.rel_gap;
+        if !rel_gap.is_finite() || rel_gap < 0.0 {
             return Err(PlacementError::new(
                 "rel_gap",
-                format!("must be finite and >= 0, got {}", self.rel_gap),
+                format!("must be finite and >= 0, got {rel_gap}"),
             ));
         }
         if self.device_budget.is_some() {
@@ -327,6 +291,31 @@ pub(crate) enum Anytime<T> {
     },
 }
 
+impl<T> Anytime<T> {
+    /// Maps a MIP outcome onto the kernel surface; `answer(sol, proven)`
+    /// builds the placement from a MIP solution. A finished search is
+    /// proven when it reports optimality; an interrupted one never is.
+    pub(crate) fn from_mip(
+        outcome: MipOutcome,
+        mut answer: impl FnMut(&milp::Solution, bool) -> T,
+    ) -> Self {
+        match outcome {
+            MipOutcome::Complete(sol) => {
+                Anytime::Done(answer(&sol, sol.status == SolveStatus::Optimal))
+            }
+            MipOutcome::Interrupted {
+                incumbent,
+                bound,
+                work_spent,
+            } => Anytime::Cut {
+                incumbent: incumbent.map(|sol| answer(&sol, false)),
+                bound,
+                work_spent,
+            },
+        }
+    }
+}
+
 /// Maps a PPM kernel attempt onto the outcome surface, running `fallback`
 /// (the paper's greedy on the same constrained state) when the budget
 /// tripped before any incumbent existed.
@@ -390,8 +379,8 @@ fn budget_outcome(
 }
 
 /// Solves a one-shot PPM request on a static instance, dispatching to the
-/// batch kernels ([`solve_ppm_exact`] / [`greedy_static`] /
-/// [`solve_budget`]). APM requests are rejected here — they need a router
+/// batch kernels ([`solve_ppm_exact`](crate::passive::solve_ppm_exact) /
+/// [`greedy_static`] / [`solve_budget`](crate::passive::solve_budget)). APM requests are rejected here — they need a router
 /// graph, not an edge-support instance; use [`solve_apm`].
 pub fn solve_instance(
     inst: &PpmInstance,
@@ -406,12 +395,12 @@ pub fn solve_instance(
     };
     if let Some(budget) = req.device_budget {
         return Ok(budget_outcome(
-            solve_budget_anytime(inst, budget, &[], &req.exact_options()),
+            solve_budget_anytime(inst, budget, &[], &req.exact),
             || greedy_budget(inst, budget, &[], &[]),
         ));
     }
     let attempt = match req.method {
-        SolveMethod::Exact => solve_ppm_exact_anytime(inst, k, &req.exact_options()),
+        SolveMethod::Exact => solve_ppm_exact_anytime(inst, k, &req.exact),
         SolveMethod::Greedy => Anytime::Done(greedy_static(inst, k)),
     };
     Ok(ppm_outcome(attempt, || {
@@ -546,13 +535,12 @@ pub fn greedy_budget(
 
 impl DeltaInstance {
     /// Solves a unified request on the chain's current state — the one
-    /// dispatch the deprecated [`DeltaInstance::solve_exact`] /
-    /// [`DeltaInstance::solve_budget`] shims and the `popmond` service
+    /// dispatch [`DeltaInstance::solve_exact`] and the `popmond` service
     /// route through. Exact solves ride the warm chain; greedy solves run
     /// [`greedy_constrained`] on the materialized instance. APM requests
     /// are rejected (they need a router graph; use [`solve_apm`]).
     ///
-    /// With [`SolveRequest::work_budget`] set the exact solves are
+    /// With a work budget in [`SolveRequest::exact`] the exact solves are
     /// *anytime*: a tripped budget yields [`SolveOutcome::Degraded`] with
     /// the incumbent or a [`greedy_constrained`] / [`greedy_budget`]
     /// fallback on the same constrained state.
@@ -565,13 +553,13 @@ impl DeltaInstance {
             ));
         };
         if let Some(budget) = req.device_budget {
-            let attempt = self.solve_budget_core(budget, &req.exact_options());
+            let attempt = self.solve_budget_core(budget, &req.exact);
             return Ok(budget_outcome(attempt, || {
                 greedy_budget(&self.instance(), budget, self.installed(), self.disabled())
             }));
         }
         let attempt = match req.method {
-            SolveMethod::Exact => self.solve_exact_core(k, &req.exact_options()),
+            SolveMethod::Exact => self.solve_exact_core(k, &req.exact),
             SolveMethod::Greedy => {
                 let inst = self.instance();
                 Anytime::Done(greedy_constrained(
@@ -679,22 +667,11 @@ mod tests {
 
     #[test]
     fn exact_options_round_trip() {
-        let opts = ExactOptions {
-            max_nodes: 123,
-            time_limit: Some(Duration::from_millis(7)),
-            warm_start: false,
-            rel_gap: 0.25,
-            work_budget: Some(4_096),
-        };
-        let req = SolveRequest::ppm(0.5).with_exact_options(&opts);
-        let back = req.exact_options();
-        assert_eq!(back.max_nodes, opts.max_nodes);
-        assert_eq!(back.time_limit, opts.time_limit);
-        assert_eq!(back.warm_start, opts.warm_start);
-        assert_eq!(back.rel_gap, opts.rel_gap);
-        assert_eq!(back.work_budget, opts.work_budget);
         assert_eq!(
-            SolveRequest::ppm(0.5).with_work_budget(64).work_budget,
+            SolveRequest::ppm(0.5)
+                .with_work_budget(64)
+                .exact
+                .work_budget,
             Some(64)
         );
     }

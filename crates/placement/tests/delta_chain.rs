@@ -13,6 +13,7 @@
 use placement::delta::DeltaInstance;
 use placement::instance::PpmInstance;
 use placement::passive::{solve_budget, solve_incremental, solve_ppm_exact, ExactOptions};
+use placement::solve::{SolveOutcome, SolveRequest};
 use popgen::{PopSpec, TrafficSpec};
 
 fn seed0_instance() -> PpmInstance {
@@ -50,7 +51,7 @@ fn incremental_grid_chain_matches_fresh() {
     let base = solve_ppm_exact(&inst, 0.8, &opts).expect("PPM(0.8) feasible");
 
     let mut chain = DeltaInstance::from_instance(&inst);
-    chain.set_installed(&base.edges);
+    chain.try_set_installed(&base.edges).unwrap();
     for k_pct in [85u32, 90, 95, 100] {
         let k = k_pct as f64 / 100.0;
         let chained = chain.solve_exact(k, &opts).expect("feasible");
@@ -76,9 +77,12 @@ fn budget_grid_chain_matches_fresh() {
     let base = solve_ppm_exact(&inst, 0.8, &opts).expect("PPM(0.8) feasible");
 
     let mut chain = DeltaInstance::from_instance(&inst);
-    chain.set_installed(&base.edges);
+    chain.try_set_installed(&base.edges).unwrap();
     for extra in [1usize, 2, 3, 4, 5] {
-        let chained = chain.solve_budget(extra, &opts);
+        let req = SolveRequest::budget(extra).with_exact_options(&opts);
+        let Ok(SolveOutcome::Budget(chained)) = chain.solve(&req) else {
+            panic!("expected a budget outcome");
+        };
         let fresh = solve_budget(&inst, extra, &base.edges, &opts);
         assert!(
             (chained.coverage - fresh.coverage).abs() < 1e-6,

@@ -13,7 +13,7 @@
 //!
 //! Instances live in a 16-way sharded `id → Arc<Slot>` map (hash-sharded
 //! like `engine::Memo`, first insert wins). Each slot holds the immutable
-//! topology plus a mutex-guarded [`SlotState`]: the instance's
+//! topology plus a mutex-guarded `SlotState`: the instance's
 //! [`DeltaInstance`] warm chain, a version counter bumped by every
 //! mutation, and a per-version solve memo. A solve locks the slot, so
 //! identical concurrent queries serialize onto one solver run: the first

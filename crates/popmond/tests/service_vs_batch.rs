@@ -44,17 +44,17 @@ fn build_cold(seed: u64, routed: bool) -> DeltaInstance {
 fn apply(delta: &mut DeltaInstance, action: &WhatIf) {
     match action {
         WhatIf::FailLink(e) => {
-            delta.fail_link(*e);
+            delta.try_fail_link(*e).unwrap();
         }
         WhatIf::RestoreLink(e) => {
-            delta.restore_link(*e);
+            delta.try_restore_link(*e).unwrap();
         }
-        WhatIf::ScaleDemand { t, factor } => delta.scale_demand(*t, *factor),
+        WhatIf::ScaleDemand { t, factor } => delta.try_scale_demand(*t, *factor).unwrap(),
         WhatIf::AddFlow { volume, support } => {
-            delta.add_flow(*volume, support.clone());
+            delta.try_add_flow(*volume, support.clone()).unwrap();
         }
-        WhatIf::RemoveFlow(t) => delta.remove_flow(*t),
-        WhatIf::SetInstalled(installed) => delta.set_installed(installed),
+        WhatIf::RemoveFlow(t) => delta.try_remove_flow(*t).unwrap(),
+        WhatIf::SetInstalled(installed) => delta.try_set_installed(installed).unwrap(),
     }
 }
 
