@@ -97,8 +97,11 @@ pub struct MipOptions {
     /// bound found instead of an error. `None` (the default) disables the
     /// budget entirely; the unbudgeted code path is untouched, so existing
     /// results stay byte-identical. The budget can be overshot by a
-    /// bounded, deterministic amount (the simplex checks every 64th
-    /// iteration, and in-flight batch members run to completion).
+    /// deterministic amount that is *not* bounded by the check
+    /// granularity: the simplex checks every 64th iteration, and every
+    /// member of a node batch — like every cut re-solve and strong-branch
+    /// probe — gets the whole budget left at batch start, so one batch can
+    /// spend up to `node_batch` times that remainder (ROADMAP item 1).
     pub work_budget: Option<u64>,
 }
 
@@ -149,8 +152,8 @@ pub enum MipOutcome {
         /// beat it (minimization: `optimal ≥ bound`). `-inf`/`+inf` when
         /// even the root relaxation was interrupted.
         bound: f64,
-        /// Work units actually spent (may overshoot the budget by the
-        /// documented bounded amount).
+        /// Work units actually spent (may overshoot the budget; see
+        /// [`MipOptions::work_budget`]).
         work_spent: u64,
     },
 }

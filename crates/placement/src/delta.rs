@@ -25,19 +25,13 @@
 //! [`solve_incremental`](crate::passive::solve_incremental) and
 //! [`solve_budget`](crate::passive::solve_budget) on the seed-0 sweeps).
 
-use std::collections::HashMap;
-
-use milp::{ConstrId, MipOptions, MipWarmStart, Model, VarId};
 use netgraph::delta::RoutePlan;
 use netgraph::{EdgeId, Graph, NodeId};
 use popgen::TrafficSet;
 
 use crate::instance::PpmInstance;
-use crate::passive::{
-    build_budget_model, build_lp2_target, install_greedy_incumbent, BudgetSolution, ExactOptions,
-    PpmSolution,
-};
-use crate::solve::{Anytime, PlacementError, SolveOutcome, SolveRequest};
+use crate::passive::{BudgetSolution, CoverModel, ExactOptions, PpmSolution};
+use crate::solve::{greedy_constrained, Anytime, PlacementError, SolveRequest};
 
 /// Routed backing for link toggles: the graph and the delta-aware route
 /// plan under the current failures (the failure set itself lives in
@@ -51,25 +45,6 @@ struct Routing {
     /// endpoint-routed and never re-route. Aligned with
     /// `DeltaInstance::traffics` across flow insertions and removals.
     pair_of: Vec<Option<usize>>,
-}
-
-/// A cached exact model: rebuilt when the instance structure changes,
-/// re-targeted and warm-started along a grid otherwise. Volume-only and
-/// bound-only deltas are *repaired in place* (see the mutation methods),
-/// so the warm chain survives what-if streams, not just `k` grids.
-#[derive(Debug)]
-struct ModelCache {
-    merged: PpmInstance,
-    model: Model,
-    xs: Vec<VarId>,
-    warm: Option<MipWarmStart>,
-    /// The coverage-target (exact) or budget row — stored at build time so
-    /// in-place repairs never have to rediscover it.
-    target_row: ConstrId,
-    /// Exact cache only: the merged identical-support groups in model row
-    /// order, each with the `δ` variable that carries the group's volume
-    /// in the coverage row. Empty for the budget cache.
-    groups: Vec<(Vec<usize>, VarId)>,
 }
 
 /// A `PPM` instance under a chain of deltas (see the module docs).
@@ -89,8 +64,13 @@ pub struct DeltaInstance {
     /// Links that cannot host a device (`x_e` fixed to 0).
     disabled: Vec<usize>,
     routing: Option<Routing>,
-    exact_cache: Option<ModelCache>,
-    budget_cache: Option<ModelCache>,
+    /// The cached LP 2 and budget models: rebuilt when the instance
+    /// structure changes, re-targeted and warm-started along a grid
+    /// otherwise. Volume-only and bound-only deltas repair the LP 2 model
+    /// in place (see the mutation methods), so its warm chain survives
+    /// what-if streams, not just `k` grids.
+    exact_cache: Option<CoverModel>,
+    budget_cache: Option<CoverModel>,
 }
 
 impl DeltaInstance {
@@ -285,12 +265,14 @@ impl DeltaInstance {
         let old = std::mem::replace(&mut self.installed, new);
         // The budget model bakes the installed set into its structure.
         self.budget_cache = None;
-        if let Some(cache) = self.exact_cache.as_mut() {
-            for &e in old.iter().chain(&self.installed) {
-                if old.binary_search(&e).is_ok() != self.installed.binary_search(&e).is_ok() {
-                    sync_exact_edge(cache, &self.installed, &self.disabled, e);
-                }
-            }
+        let changed: Vec<usize> = old
+            .iter()
+            .chain(&self.installed)
+            .copied()
+            .filter(|e| old.binary_search(e).is_ok() != self.installed.binary_search(e).is_ok())
+            .collect();
+        for e in changed {
+            self.sync_exact_edge(e);
         }
         Ok(())
     }
@@ -336,10 +318,20 @@ impl DeltaInstance {
         if rerouted > 0 {
             // Supports changed: the merged group structure is stale.
             self.exact_cache = None;
-        } else if let Some(cache) = self.exact_cache.as_mut() {
-            sync_exact_edge(cache, &self.installed, &self.disabled, e);
+        } else {
+            self.sync_exact_edge(e);
         }
         rerouted
+    }
+
+    /// Re-applies the edge-status rule to `x_e` of the cached exact model
+    /// after `e` changed installed or failed status — exactly the state a
+    /// cold rebuild sets up.
+    fn sync_exact_edge(&mut self, e: usize) {
+        if let Some(cover) = self.exact_cache.as_mut() {
+            let installed = self.installed.binary_search(&e).is_ok();
+            cover.set_edge(e, installed, self.disabled.binary_search(&e).is_ok());
+        }
     }
 
     /// Checks that link `e` exists.
@@ -395,51 +387,22 @@ impl DeltaInstance {
     }
 
     /// After a volume-only delta, repairs the cached exact model's
-    /// coverage row in place: the identical-support groups are unchanged,
-    /// only their summed volumes moved, so one [`milp::Model::set_constr`]
-    /// on the stored target row brings the model back in sync and the warm
+    /// coverage row in place ([`CoverModel::reweigh`]): the identical-support
+    /// groups are unchanged, only their summed volumes moved, so the warm
     /// basis survives. Drops the cache instead when some traffic's support
     /// no longer maps onto the cached groups (the structural case).
     fn refresh_exact_volumes(&mut self) {
-        let Some(mut cache) = self.exact_cache.take() else {
-            return;
-        };
-        let index: HashMap<&[usize], usize> = cache
-            .groups
-            .iter()
-            .enumerate()
-            .map(|(g, (s, _))| (s.as_slice(), g))
-            .collect();
-        // Re-derive each group's volume exactly as `PpmInstance::merged`
-        // would: skip zero-volume/uncoverable traffics, sum the rest in
-        // original traffic order (merge_traffics stable-sorts, so within a
-        // group the summation order — hence the float — is identical).
-        let mut vols = vec![0.0f64; cache.groups.len()];
-        for (v, s) in &self.traffics {
-            if *v <= 0.0 || s.is_empty() {
-                continue;
-            }
-            match index.get(s.as_slice()) {
-                Some(&g) => vols[g] += v,
-                None => return, // new support group: cache stays dropped
+        if let Some(cover) = self.exact_cache.as_mut() {
+            if !cover.reweigh(&self.traffics) {
+                self.exact_cache = None;
             }
         }
-        let terms: Vec<(VarId, f64)> = cache
-            .groups
-            .iter()
-            .zip(&vols)
-            .map(|((_, d), &v)| (*d, v))
-            .collect();
-        cache.model.set_constr(cache.target_row, terms);
-        for (g, &v) in vols.iter().enumerate() {
-            cache.merged.traffics[g].0 = v;
-        }
-        self.exact_cache = Some(cache);
     }
 
     /// Exact minimum-device `PPM(k)` on the current state, warm-started
-    /// from the previous solve of this chain: [`DeltaInstance::solve`] on
-    /// `SolveRequest::ppm(k).with_exact_options(opts)`, unwrapped to the
+    /// from the previous solve of this chain: the exact branch of
+    /// [`DeltaInstance::solve`] on
+    /// `SolveRequest::ppm(k).with_exact_options(opts)`, collapsed to the
     /// placement. Identical results to
     /// [`solve_ppm_exact`](crate::passive::solve_ppm_exact) (no installed
     /// devices) / [`solve_incremental`](crate::passive::solve_incremental)
@@ -451,16 +414,9 @@ impl DeltaInstance {
     /// Panics when `k` lies outside `[0, 1]`.
     pub fn solve_exact(&mut self, k: f64, opts: &ExactOptions) -> Option<PpmSolution> {
         let req = SolveRequest::ppm(k).with_exact_options(opts);
-        let outcome = self.solve(&req).unwrap_or_else(|e| panic!("{e}"));
-        let outcome = match outcome {
-            SolveOutcome::Degraded { partial, .. } => *partial,
-            other => other,
-        };
-        match outcome {
-            SolveOutcome::Ppm(sol) => Some(sol),
-            SolveOutcome::Unreachable => None,
-            other => unreachable!("PPM request produced {other:?}"),
-        }
+        req.validate().unwrap_or_else(|e| panic!("{e}"));
+        self.solve_exact_core(k, opts)
+            .settle(|| greedy_constrained(&self.instance(), &self.installed, &self.disabled, k))
     }
 
     /// The exact-solve kernel behind [`DeltaInstance::solve`] (`k` already
@@ -475,75 +431,16 @@ impl DeltaInstance {
         if target > inst.max_coverage_fraction() * inst.total_volume() + 1e-9 {
             return Anytime::Done(None);
         }
-        if self.exact_cache.is_none() {
-            let merged = inst.merged();
-            let (mut model, xs) = build_lp2_target(&merged, 0.0);
-            for &e in &self.installed {
-                model.fix_var(xs[e], 1.0);
-                model.set_cost(xs[e], 0.0);
-            }
-            for &e in &self.disabled {
-                model.fix_var(xs[e], 0.0);
-            }
-            let target_row = model.constr(model.constr_count() - 1);
-            // δ variables sit right after the x block, one per merged
-            // group in group order (build_lp2_target's layout).
-            let groups = merged
-                .traffics
-                .iter()
-                .enumerate()
-                .map(|(g, (_, s))| (s.clone(), model.var(xs.len() + g)))
-                .collect();
-            self.exact_cache = Some(ModelCache {
-                merged,
-                model,
-                xs,
-                warm: None,
-                target_row,
-                groups,
-            });
+        let (installed, disabled) = (&self.installed, &self.disabled);
+        let cover = self
+            .exact_cache
+            .get_or_insert_with(|| CoverModel::lp2(&inst, installed, disabled));
+        // The greedy seed goes on plain solves only, and stays on the
+        // cached model for the rest of the chain.
+        if installed.is_empty() && disabled.is_empty() && opts.warm_start {
+            cover.seed_greedy(&inst, k);
         }
-        let plain = self.installed.is_empty() && self.disabled.is_empty();
-        let cache = self.exact_cache.as_mut().expect("built above");
-        let target_row = cache.target_row;
-        cache.model.set_rhs(target_row, target);
-        if plain && opts.warm_start {
-            install_greedy_incumbent(&mut cache.model, &cache.xs, &inst, &cache.merged, k);
-        }
-        // Mirror the one-shot solvers' options exactly (solve_ppm_exact
-        // forwards rel_gap, solve_incremental keeps the default) so chain
-        // results are comparable point for point.
-        let mip_opts = MipOptions {
-            max_nodes: opts.max_nodes,
-            time_limit: opts.time_limit,
-            rel_gap: if plain {
-                opts.rel_gap
-            } else {
-                MipOptions::default().rel_gap
-            },
-            integral_objective: Some(true),
-            warm_basis: true,
-            work_budget: opts.work_budget,
-            ..Default::default()
-        };
-        let (outcome, warm) = match cache
-            .model
-            .solve_mip_anytime(&mip_opts, cache.warm.as_ref())
-        {
-            Ok(out) => out,
-            Err(milp::SolverError::Infeasible) => return Anytime::Done(None),
-            Err(e) => panic!("MIP solver failed unexpectedly: {e}"),
-        };
-        if warm.is_some() {
-            cache.warm = warm;
-        }
-        let num_edges = self.num_edges;
-        Anytime::from_mip(outcome, |sol, proven| {
-            let edges = (0..num_edges)
-                .filter(|&e| sol.is_one(cache.xs[e], 1e-4))
-                .collect();
-            Some(PpmSolution::from_edges(&inst, edges, proven))
-        })
+        cover.solve(&inst, target, opts, 1)
     }
 
     /// The budget-solve kernel behind [`DeltaInstance::solve`]: maximum
@@ -554,57 +451,13 @@ impl DeltaInstance {
         &mut self,
         budget: usize,
         opts: &ExactOptions,
-    ) -> Anytime<BudgetSolution> {
+    ) -> Anytime<Option<BudgetSolution>> {
         let inst = self.instance();
-        if self.budget_cache.is_none() {
-            let merged = inst.merged();
-            let (mut model, xs) = build_budget_model(&merged, &self.installed);
-            // Failure beats installation: a device on a failed link is
-            // dead, so x_e drops to 0 even when e is in the installed set
-            // (matching solve_exact's precedence).
-            for &e in &self.disabled {
-                model.fix_var(xs[e], 0.0);
-            }
-            let target_row = model.constr(model.constr_count() - 1);
-            self.budget_cache = Some(ModelCache {
-                merged,
-                model,
-                xs,
-                warm: None,
-                target_row,
-                groups: Vec::new(),
-            });
-        }
-        let cache = self.budget_cache.as_mut().expect("built above");
-        let budget_row = cache.target_row;
-        cache.model.set_rhs(budget_row, budget as f64);
-        let mip_opts = MipOptions {
-            max_nodes: opts.max_nodes,
-            time_limit: opts.time_limit,
-            warm_basis: true,
-            work_budget: opts.work_budget,
-            ..Default::default()
-        };
-        let (outcome, warm) = cache
-            .model
-            .solve_mip_anytime(&mip_opts, cache.warm.as_ref())
-            .expect("budget problem is always feasible");
-        if warm.is_some() {
-            cache.warm = warm;
-        }
-        let num_edges = self.num_edges;
-        Anytime::from_mip(outcome, |sol, proven| {
-            let edges: Vec<usize> = (0..num_edges)
-                .filter(|&e| sol.is_one(cache.xs[e], 1e-4))
-                .collect();
-            let coverage = inst.coverage(&edges);
-            BudgetSolution {
-                edges,
-                coverage,
-                total_volume: inst.total_volume(),
-                proven_optimal: proven,
-            }
-        })
+        let (installed, disabled) = (&self.installed, &self.disabled);
+        self.budget_cache
+            .get_or_insert_with(|| CoverModel::budget(&inst, installed, disabled))
+            .solve(&inst, budget as f64, opts, 1)
+            .map(|sol| sol.map(BudgetSolution::from_placement))
     }
 }
 
@@ -617,26 +470,6 @@ fn check_volume(volume: f64) -> Result<(), PlacementError> {
         ));
     }
     Ok(())
-}
-
-/// Re-syncs `x_e`'s bounds and cost in a cached exact model after edge `e`
-/// changed installed/disabled status — reproducing exactly the state a
-/// cold rebuild would set up: installed devices are fixed to 1 at zero
-/// cost, failure beats installation (fixed to 0, cost as the rebuild
-/// leaves it), free edges are binary at unit cost.
-fn sync_exact_edge(cache: &mut ModelCache, installed: &[usize], disabled: &[usize], e: usize) {
-    let x = cache.xs[e];
-    let installed = installed.binary_search(&e).is_ok();
-    if disabled.binary_search(&e).is_ok() {
-        cache.model.set_cost(x, if installed { 0.0 } else { 1.0 });
-        cache.model.fix_var(x, 0.0);
-    } else if installed {
-        cache.model.set_cost(x, 0.0);
-        cache.model.fix_var(x, 1.0);
-    } else {
-        cache.model.set_cost(x, 1.0);
-        cache.model.set_bounds(x, 0.0, 1.0);
-    }
 }
 
 /// The sorted support of pair `i` under `plan` (empty when disconnected).
@@ -657,6 +490,7 @@ mod tests {
     use super::*;
     use crate::instance::fixture_figure3;
     use crate::passive::{solve_budget, solve_incremental, solve_ppm_exact};
+    use crate::solve::SolveOutcome;
 
     #[test]
     fn chain_matches_one_shot_on_figure3() {

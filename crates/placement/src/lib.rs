@@ -13,9 +13,11 @@
 //!   constructing actual graphs and traffic sets;
 //! * [`passive`] — `PPM(k)` solvers: the paper's decreasing-load greedy,
 //!   the adaptive (set-cover) greedy, the flow greedy on the MECF
-//!   relaxation, the exact LP 2 MIP, the LP 1 arc-path MIP for
-//!   cross-validation, brute force for tests, and the incremental /
-//!   budget-constrained variants (Sections 4.3–4.4);
+//!   relaxation, the MECF flow branch-and-bound, brute force for tests,
+//!   and the exact LP 2 MIP with its incremental / budget-constrained
+//!   variants (Sections 4.3–4.4). One kernel builds, solves and decodes
+//!   every LP 2 and budget MIP, one-shot or chained; the LP 1 arc-path
+//!   model is only built, for tests to cross-validate LP 2;
 //! * [`sampling`] — `PPME(h, k)` with setup and exploitation costs and
 //!   multi-routed traffics (Section 5, Linear Program 3);
 //! * [`dynamic`] — `PPME*(x, h, k)` re-optimization (LP and min-cost-flow

@@ -1,21 +1,26 @@
 //! `PPM(k)` solvers: greedy heuristics, exact MIPs, and deployment
 //! variants (paper Sections 4.3–4.4).
+//!
+//! Every exact MIP here — one-shot `PPM(k)`, incremental, budget, and the
+//! warm chains of [`crate::delta`] — is Linear Program 2 or its budget
+//! twin, built, solved and decoded by one crate-private kernel
+//! (`cover.rs`).
 
 mod brute;
+mod cover;
 mod exact;
 mod greedy;
 mod mecf_bb;
 mod variants;
 
 pub use brute::brute_force_ppm;
-pub use exact::{
-    build_lp1, build_lp1_target, build_lp2, build_lp2_target, solve_ppm_exact, solve_ppm_mecf,
-    ExactOptions,
-};
-pub(crate) use exact::{install_greedy_incumbent, solve_ppm_exact_anytime};
+pub(crate) use cover::CoverModel;
+pub use cover::{build_lp2, build_lp2_target};
+pub(crate) use exact::solve_ppm_exact_anytime;
+pub use exact::{build_lp1, build_lp1_target, solve_ppm_exact, ExactOptions};
 pub use greedy::{flow_greedy_ppm, greedy_adaptive, greedy_static};
 pub use mecf_bb::solve_ppm_mecf_bb;
-pub(crate) use variants::{build_budget_model, solve_budget_anytime};
+pub(crate) use variants::solve_budget_anytime;
 pub use variants::{expected_gain, solve_budget, solve_incremental, BudgetSolution};
 
 use crate::instance::PpmInstance;

@@ -10,11 +10,10 @@
 //!   or a set of new devices": the budget problem on top of an installed
 //!   base, reported as the coverage delta.
 
-use milp::{Cmp, MipOptions, Model, Sense, SolveStatus, VarId, VarKind};
-
 use crate::instance::PpmInstance;
-use crate::passive::{build_lp2_target, ExactOptions, PpmSolution};
-use crate::solve::Anytime;
+use crate::passive::cover::CoverModel;
+use crate::passive::{ExactOptions, PpmSolution};
+use crate::solve::{greedy_budget, greedy_constrained, Anytime};
 
 /// Solution of the budget-constrained maximum-coverage problem.
 #[derive(Debug, Clone, PartialEq)]
@@ -30,6 +29,16 @@ pub struct BudgetSolution {
 }
 
 impl BudgetSolution {
+    /// The budget view of a decoded placement.
+    pub(crate) fn from_placement(sol: PpmSolution) -> Self {
+        BudgetSolution {
+            edges: sol.edges,
+            coverage: sol.coverage,
+            total_volume: sol.total_volume,
+            proven_optimal: sol.proven_optimal,
+        }
+    }
+
     /// Fraction of the total volume covered.
     pub fn coverage_fraction(&self) -> f64 {
         if self.total_volume > 0.0 {
@@ -42,128 +51,55 @@ impl BudgetSolution {
 
 /// Minimum number of *additional* devices to reach coverage `k`, given
 /// `installed` devices that cannot move. Returns the complete placement
-/// (installed + new). `None` when the target is unreachable.
+/// (installed + new). `None` when the target is unreachable. Under a work
+/// budget the answer degrades silently to the best incumbent, or the
+/// paper's greedy on top of `installed` when the search had none.
 pub fn solve_incremental(
     inst: &PpmInstance,
     k: f64,
     installed: &[usize],
     opts: &ExactOptions,
 ) -> Option<PpmSolution> {
-    let merged = inst.merged();
+    let mut base = installed.to_vec();
+    base.sort_unstable();
+    base.dedup();
+    if let Some(e) = base.iter().find(|&&e| e >= inst.num_edges) {
+        panic!("installed edge {e} out of range");
+    }
     // Target is k of the ORIGINAL volume (merging drops uncoverable mass).
-    let (mut model, xs) = build_lp2_target(&merged, k * inst.total_volume());
-    for &e in installed {
-        assert!(e < inst.num_edges, "installed edge {e} out of range");
-        model.fix_var(xs[e], 1.0);
-        // Installed devices are sunk cost: exclude from the objective so
-        // the solver minimizes only the new devices.
-        model.set_cost(xs[e], 0.0);
-    }
-    let mip_opts = MipOptions {
-        max_nodes: opts.max_nodes,
-        time_limit: opts.time_limit,
-        integral_objective: Some(true),
-        warm_basis: true,
-        ..Default::default()
-    };
-    let sol = match model.solve_mip_with(&mip_opts) {
-        Ok(s) => s,
-        Err(milp::SolverError::Infeasible) => return None,
-        Err(e) => panic!("MIP solver failed unexpectedly: {e}"),
-    };
-    let edges: Vec<usize> = (0..merged.num_edges)
-        .filter(|&e| sol.is_one(xs[e], 1e-4))
-        .collect();
-    Some(PpmSolution::from_edges(
-        inst,
-        edges,
-        sol.status == SolveStatus::Optimal,
-    ))
-}
-
-/// Builds the maximum-coverage (budget) MIP over a merged instance:
-/// maximize `Σ δ_t v_t` with `δ_t ≤ Σ_{e∈p_t} x_e` and a device budget
-/// row over the non-installed edges. The budget row is the **last**
-/// constraint with a placeholder RHS of 0 — callers set the actual budget
-/// with [`Model::set_rhs`], which is what lets the warm-started chains of
-/// [`crate::delta`] walk a budget grid on one model.
-pub(crate) fn build_budget_model(merged: &PpmInstance, installed: &[usize]) -> (Model, Vec<VarId>) {
-    let mut model = Model::new(Sense::Maximize);
-    let xs: Vec<VarId> = (0..merged.num_edges)
-        .map(|e| model.add_var(format!("x_e{e}"), VarKind::Binary, 0.0, 1.0, 0.0))
-        .collect();
-    let mut budget_terms = Vec::new();
-    for (e, &x) in xs.iter().enumerate() {
-        if installed.contains(&e) {
-            model.fix_var(x, 1.0);
-        } else {
-            budget_terms.push((x, 1.0));
-        }
-    }
-    // Objective: Σ δ_t v_t; constraints δ_t ≤ Σ_{e∈p_t} x_e.
-    for (t, (v, support)) in merged.traffics.iter().enumerate() {
-        let d = model.add_var(format!("delta_t{t}"), VarKind::Continuous, 0.0, 1.0, *v);
-        let mut terms: Vec<(VarId, f64)> = support.iter().map(|&e| (xs[e], 1.0)).collect();
-        terms.push((d, -1.0));
-        model.add_constr(terms, Cmp::Ge, 0.0);
-    }
-    model.add_constr(budget_terms, Cmp::Le, 0.0);
-    (model, xs)
+    CoverModel::lp2(inst, &base, &[])
+        .solve(inst, k * inst.total_volume(), opts, 1)
+        .settle(|| greedy_constrained(inst, &base, &[], k))
 }
 
 /// Maximum-coverage placement of at most `budget` new devices on top of
-/// `installed` ones (pass `&[]` for a fresh deployment).
+/// `installed` ones (pass `&[]` for a fresh deployment). Under a work
+/// budget the answer degrades silently to the best incumbent, or the
+/// greedy when the search had none.
 pub fn solve_budget(
     inst: &PpmInstance,
     budget: usize,
     installed: &[usize],
     opts: &ExactOptions,
 ) -> BudgetSolution {
-    match solve_budget_anytime(inst, budget, installed, opts) {
-        Anytime::Done(sol) => sol,
-        // Legacy surface under a budget: degrade silently (the unified
-        // API reports the degradation record instead).
-        Anytime::Cut { incumbent, .. } => {
-            incumbent.unwrap_or_else(|| crate::solve::greedy_budget(inst, budget, installed, &[]))
-        }
-    }
+    // The budget MIP is feasible by construction: only a budget trip
+    // before any incumbent falls through to the greedy.
+    solve_budget_anytime(inst, budget, installed, opts)
+        .settle(|| None)
+        .unwrap_or_else(|| greedy_budget(inst, budget, installed, &[]))
 }
 
-/// The one-shot budget kernel under the anytime contract, for the unified
+/// The one-shot budget solve under the anytime contract, for the unified
 /// dispatcher ([`crate::solve::solve_instance`]).
 pub(crate) fn solve_budget_anytime(
     inst: &PpmInstance,
     budget: usize,
     installed: &[usize],
     opts: &ExactOptions,
-) -> Anytime<BudgetSolution> {
-    let merged = inst.merged();
-    let (mut model, xs) = build_budget_model(&merged, installed);
-    let budget_row = model.constr(model.constr_count() - 1);
-    model.set_rhs(budget_row, budget as f64);
-
-    let mip_opts = MipOptions {
-        max_nodes: opts.max_nodes,
-        time_limit: opts.time_limit,
-        warm_basis: true,
-        work_budget: opts.work_budget,
-        ..Default::default()
-    };
-    let (outcome, _) = model
-        .solve_mip_anytime(&mip_opts, None)
-        .expect("budget problem is always feasible");
-    Anytime::from_mip(outcome, |sol, proven| {
-        let edges: Vec<usize> = (0..merged.num_edges)
-            .filter(|&e| sol.is_one(xs[e], 1e-4))
-            .collect();
-        let coverage = inst.coverage(&edges);
-        BudgetSolution {
-            edges,
-            coverage,
-            total_volume: inst.total_volume(),
-            proven_optimal: proven,
-        }
-    })
+) -> Anytime<Option<BudgetSolution>> {
+    CoverModel::budget(inst, installed, &[])
+        .solve(inst, budget as f64, opts, 1)
+        .map(|sol| sol.map(BudgetSolution::from_placement))
 }
 
 /// Expected coverage gain (absolute volume) from buying `extra` devices on
@@ -257,6 +193,25 @@ mod tests {
         // t0 already covered; link 2 likewise).
         assert!(on_top <= 2.0 + 1e-9);
         assert!(on_top > 0.0);
+    }
+
+    #[test]
+    fn incremental_honors_the_work_budget() {
+        let pop = popgen::PopSpec::paper_10().build();
+        let ts = popgen::TrafficSpec::default().generate(&pop, 0);
+        let inst = PpmInstance::from_traffic(&pop.graph, &ts);
+        let base = crate::passive::solve_ppm_exact(&inst, 0.8, &ExactOptions::default()).unwrap();
+        let opts = ExactOptions {
+            work_budget: Some(1),
+            ..Default::default()
+        };
+        let s = solve_incremental(&inst, 0.95, &base.edges, &opts).unwrap();
+        assert!(inst.is_feasible(&s.edges, 0.95));
+        assert!(
+            !s.proven_optimal,
+            "a one-unit budget cannot prove optimality"
+        );
+        assert!(base.edges.iter().all(|e| s.edges.contains(e)));
     }
 
     #[test]

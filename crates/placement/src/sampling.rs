@@ -393,13 +393,12 @@ fn full_cover_incumbent(prob: &SamplingProblem, opts: &PpmeOptions) -> Option<Ve
             .map(|p| (p.volume, p.edges.clone()))
             .collect(),
     );
-    // Keep the inner PPM solve cheap: it only seeds the incumbent.
+    // Keep the inner PPM solve cheap: it only seeds the incumbent. The node
+    // cap is the only limit, so the seed is the same on every machine.
     let inner = crate::passive::ExactOptions {
         max_nodes: 2_000,
-        time_limit: Some(std::time::Duration::from_secs(10)),
-        warm_start: true,
         rel_gap: opts.rel_gap.max(1e-9),
-        work_budget: None,
+        ..Default::default()
     };
     let cover = crate::passive::solve_ppm_exact(&inst, 1.0, &inner)
         .or_else(|| crate::passive::greedy_adaptive(&inst, 1.0))?;

@@ -13,7 +13,6 @@
 
 use std::fmt;
 
-use milp::{MipOutcome, SolveStatus};
 use netgraph::{Graph, NodeId};
 
 use crate::active::{compute_probes, place_beacons_greedy, place_beacons_ilp};
@@ -292,23 +291,16 @@ pub(crate) enum Anytime<T> {
 }
 
 impl<T> Anytime<T> {
-    /// Maps a MIP outcome onto the kernel surface; `answer(sol, proven)`
-    /// builds the placement from a MIP solution. A finished search is
-    /// proven when it reports optimality; an interrupted one never is.
-    pub(crate) fn from_mip(
-        outcome: MipOutcome,
-        mut answer: impl FnMut(&milp::Solution, bool) -> T,
-    ) -> Self {
-        match outcome {
-            MipOutcome::Complete(sol) => {
-                Anytime::Done(answer(&sol, sol.status == SolveStatus::Optimal))
-            }
-            MipOutcome::Interrupted {
+    /// Maps the answer, finished or interrupted, through `f`.
+    pub(crate) fn map<U>(self, mut f: impl FnMut(T) -> U) -> Anytime<U> {
+        match self {
+            Anytime::Done(answer) => Anytime::Done(f(answer)),
+            Anytime::Cut {
                 incumbent,
                 bound,
                 work_spent,
             } => Anytime::Cut {
-                incumbent: incumbent.map(|sol| answer(&sol, false)),
+                incumbent: incumbent.map(f),
                 bound,
                 work_spent,
             },
@@ -316,55 +308,40 @@ impl<T> Anytime<T> {
     }
 }
 
-/// Maps a PPM kernel attempt onto the outcome surface, running `fallback`
-/// (the paper's greedy on the same constrained state) when the budget
-/// tripped before any incumbent existed.
-fn ppm_outcome(
-    attempt: Anytime<Option<PpmSolution>>,
-    fallback: impl FnOnce() -> Option<PpmSolution>,
+impl<T> Anytime<Option<T>> {
+    /// The non-anytime surface: a finished answer as is; an interrupted
+    /// one collapses to its incumbent or, when the budget tripped before
+    /// any, to `fallback` (the paper's greedy on the same state). The one
+    /// rule behind the legacy kernels and [`DeltaInstance::solve_exact`].
+    pub(crate) fn settle(self, fallback: impl FnOnce() -> Option<T>) -> Option<T> {
+        match self {
+            Anytime::Done(answer) => answer,
+            Anytime::Cut { incumbent, .. } => incumbent.flatten().or_else(fallback),
+        }
+    }
+}
+
+/// Maps a kernel attempt onto the outcome surface: `wrap` makes the
+/// outcome of an answer, `None` is [`SolveOutcome::Unreachable`], and
+/// `fallback` (the paper's greedy on the same constrained state) runs when
+/// the budget tripped before any incumbent existed. (The budget MIP is
+/// feasible by construction, so its attempts are never unreachable.)
+fn outcome<T>(
+    attempt: Anytime<Option<T>>,
+    wrap: fn(T) -> SolveOutcome,
+    fallback: impl FnOnce() -> Option<T>,
 ) -> SolveOutcome {
     match attempt {
-        Anytime::Done(Some(s)) => SolveOutcome::Ppm(s),
-        Anytime::Done(None) => SolveOutcome::Unreachable,
+        Anytime::Done(answer) => answer.map_or(SolveOutcome::Unreachable, wrap),
         Anytime::Cut {
             incumbent,
             bound,
             work_spent,
         } => {
             let (partial, reason) = match incumbent.flatten() {
-                Some(s) => (SolveOutcome::Ppm(s), DegradeReason::PartialExact),
-                None => match fallback() {
-                    Some(g) => (SolveOutcome::Ppm(g), DegradeReason::GreedyFallback),
-                    None => (SolveOutcome::Unreachable, DegradeReason::GreedyFallback),
-                },
-            };
-            SolveOutcome::Degraded {
-                partial: Box::new(partial),
-                reason,
-                work_spent,
-                bound,
-            }
-        }
-    }
-}
-
-/// [`ppm_outcome`]'s sibling for budget solves (the greedy fallback always
-/// produces a placement — the budget problem is feasible by construction).
-fn budget_outcome(
-    attempt: Anytime<BudgetSolution>,
-    fallback: impl FnOnce() -> BudgetSolution,
-) -> SolveOutcome {
-    match attempt {
-        Anytime::Done(s) => SolveOutcome::Budget(s),
-        Anytime::Cut {
-            incumbent,
-            bound,
-            work_spent,
-        } => {
-            let (partial, reason) = match incumbent {
-                Some(s) => (SolveOutcome::Budget(s), DegradeReason::PartialExact),
+                Some(s) => (wrap(s), DegradeReason::PartialExact),
                 None => (
-                    SolveOutcome::Budget(fallback()),
+                    fallback().map_or(SolveOutcome::Unreachable, wrap),
                     DegradeReason::GreedyFallback,
                 ),
             };
@@ -394,16 +371,17 @@ pub fn solve_instance(
         ));
     };
     if let Some(budget) = req.device_budget {
-        return Ok(budget_outcome(
+        return Ok(outcome(
             solve_budget_anytime(inst, budget, &[], &req.exact),
-            || greedy_budget(inst, budget, &[], &[]),
+            SolveOutcome::Budget,
+            || Some(greedy_budget(inst, budget, &[], &[])),
         ));
     }
     let attempt = match req.method {
         SolveMethod::Exact => solve_ppm_exact_anytime(inst, k, &req.exact),
         SolveMethod::Greedy => Anytime::Done(greedy_static(inst, k)),
     };
-    Ok(ppm_outcome(attempt, || {
+    Ok(outcome(attempt, SolveOutcome::Ppm, || {
         greedy_constrained(inst, &[], &[], k)
     }))
 }
@@ -554,8 +532,13 @@ impl DeltaInstance {
         };
         if let Some(budget) = req.device_budget {
             let attempt = self.solve_budget_core(budget, &req.exact);
-            return Ok(budget_outcome(attempt, || {
-                greedy_budget(&self.instance(), budget, self.installed(), self.disabled())
+            return Ok(outcome(attempt, SolveOutcome::Budget, || {
+                Some(greedy_budget(
+                    &self.instance(),
+                    budget,
+                    self.installed(),
+                    self.disabled(),
+                ))
             }));
         }
         let attempt = match req.method {
@@ -570,7 +553,7 @@ impl DeltaInstance {
                 ))
             }
         };
-        Ok(ppm_outcome(attempt, || {
+        Ok(outcome(attempt, SolveOutcome::Ppm, || {
             greedy_constrained(&self.instance(), self.installed(), self.disabled(), k)
         }))
     }

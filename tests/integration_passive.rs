@@ -1,10 +1,11 @@
 //! Cross-crate integration tests for the passive-monitoring pipeline:
 //! popgen → placement instance → greedy / flow / exact solvers → validation.
 
+use popmon::milp::MipOptions;
 use popmon::placement::instance::PpmInstance;
 use popmon::placement::passive::{
-    brute_force_ppm, build_lp2, flow_greedy_ppm, greedy_adaptive, greedy_static, solve_ppm_exact,
-    solve_ppm_mecf, ExactOptions,
+    brute_force_ppm, build_lp1_target, build_lp2, flow_greedy_ppm, greedy_adaptive, greedy_static,
+    solve_ppm_exact, ExactOptions,
 };
 use popmon::popgen::{PopSpec, TrafficSpec};
 
@@ -102,8 +103,14 @@ fn lp1_and_lp2_agree_on_reduced_instances() {
     );
     for k in [0.8, 1.0] {
         let a = solve_ppm_exact(&small, k, &ExactOptions::default()).unwrap();
-        let b = solve_ppm_mecf(&small, k, &ExactOptions::default()).unwrap();
-        assert_eq!(a.device_count(), b.device_count(), "k = {k}");
+        let (lp1, xs) = build_lp1_target(&small.merged(), k * small.total_volume());
+        let opts = MipOptions {
+            integral_objective: Some(true),
+            ..Default::default()
+        };
+        let b = lp1.solve_mip_with(&opts).unwrap();
+        let devices = xs.iter().filter(|&&x| b.is_one(x, 1e-4)).count();
+        assert_eq!(a.device_count(), devices, "k = {k}");
     }
 }
 
