@@ -11,6 +11,8 @@
 //! Per-case sub-results that several cases share — the seeded deployment a
 //! whole budget sweep reuses, or the probe set Φ consumed by three beacon
 //! placements — go through the run's [`engine::Memo`], keyed by seed.
+//! Seed chains have no memo: each chain builds its seed's instance (and
+//! base deployment) itself, once.
 
 use engine::{Case, ChainCase, Engine, ScenarioReport, ScenarioSpec};
 use milp::MipOptions;
@@ -39,19 +41,10 @@ use popgen::{
 use crate::{mean, stddev, timed};
 
 /// The seed-keyed `PPM` instance every passive sweep starts from: the
-/// seeded traffic matrix run through [`PpmInstance::from_traffic`]. The
-/// instance construction (one shortest path per traffic pair) is shared
-/// by every k-point of a sweep, so it goes through the run's memo.
-fn ppm_instance_of(
-    memo: &engine::Memo,
-    domain: &'static str,
-    pop: &Pop,
-    seed: u64,
-) -> std::sync::Arc<PpmInstance> {
-    memo.get_or_compute(domain, seed, || {
-        let ts = TrafficSpec::default().generate(pop, seed);
-        PpmInstance::from_traffic(&pop.graph, &ts)
-    })
+/// seeded traffic matrix run through [`PpmInstance::from_traffic`].
+fn ppm_instance(pop: &Pop, seed: u64) -> PpmInstance {
+    let ts = TrafficSpec::default().generate(pop, seed);
+    PpmInstance::from_traffic(&pop.graph, &ts)
 }
 
 // ---------------------------------------------------------------------------
@@ -60,8 +53,8 @@ fn ppm_instance_of(
 
 /// The figure-7 sweep: for each coverage target `k` (percent), the
 /// decreasing-load greedy and the exact ILP device counts averaged over
-/// seeds, plus the mean exact solve time. The per-seed instance is built
-/// once and shared by every k-point through the memo.
+/// seeds, plus the mean exact solve time. Each seed's chain builds its
+/// instance once and walks every k-point on it.
 ///
 /// Runs as per-seed **warm-start chains**: one [`DeltaInstance`] walks
 /// the k grid, each exact solve re-targeting the coverage row and reusing
@@ -78,7 +71,7 @@ pub fn fig7_report(engine: &Engine, pop: &Pop, k_percents: &[u32], seeds: u64) -
         &spec,
         "k_percent,greedy_devices,ilp_devices,greedy_stddev,ilp_stddev,ilp_time_s",
         |c: ChainCase<'_, u32>| {
-            let inst = ppm_instance_of(c.memo, "fig7_inst", pop, c.seed);
+            let inst = ppm_instance(pop, c.seed);
             let mut chain = DeltaInstance::from_instance(&inst);
             c.points
                 .iter()
@@ -134,7 +127,10 @@ pub fn fig8_report(
         &spec,
         "k_percent,greedy_devices,exact_devices,proven_fraction,exact_time_s",
         |c: Case<'_, u32>| {
-            let inst = ppm_instance_of(c.memo, "fig8_inst", pop, c.seed);
+            // One shortest path per traffic pair, shared by every k-point.
+            let inst = c
+                .memo
+                .get_or_compute("fig8_inst", c.seed, || ppm_instance(pop, c.seed));
             let k = *c.point as f64 / 100.0;
             let g = greedy_static(&inst, k).expect("all traffic coverable on this POP");
             let (s, secs) = timed(|| solve_ppm_mecf_bb(&inst, k, opts).expect("feasible"));
@@ -183,7 +179,7 @@ pub fn mecf_ablation_report(
         &spec,
         "k_percent,static_greedy,adaptive_greedy,flow_greedy,ilp,mecf_bb",
         |c: ChainCase<'_, u32>| {
-            let inst = ppm_instance_of(c.memo, "ablation_inst", pop, c.seed);
+            let inst = ppm_instance(pop, c.seed);
             let opts = ExactOptions::default();
             let mut chain = DeltaInstance::from_instance(&inst);
             c.points
@@ -341,26 +337,19 @@ struct IncrementalSeedSetup {
     base_edges: Vec<usize>,
 }
 
-fn incremental_seed_setup(
-    memo: &engine::Memo,
-    pop: &Pop,
-    seed: u64,
-) -> std::sync::Arc<IncrementalSeedSetup> {
-    memo.get_or_compute("incremental_base", seed, || {
-        let ts = TrafficSpec::default().generate(pop, seed);
-        let inst = PpmInstance::from_traffic(&pop.graph, &ts);
-        let base = solve_ppm_exact(&inst, 0.8, &ExactOptions::default())
-            .expect("PPM(0.8) is feasible on this POP");
-        IncrementalSeedSetup {
-            inst,
-            base_edges: base.edges,
-        }
-    })
+fn incremental_seed_setup(pop: &Pop, seed: u64) -> IncrementalSeedSetup {
+    let inst = ppm_instance(pop, seed);
+    let base = solve_ppm_exact(&inst, 0.8, &ExactOptions::default())
+        .expect("PPM(0.8) is feasible on this POP");
+    IncrementalSeedSetup {
+        inst,
+        base_edges: base.edges,
+    }
 }
 
 /// Section-1/4.3 upgrades: additional devices needed to reach each higher
 /// `k` when the `PPM(0.8)` base cannot move, against a from-scratch
-/// deployment. The base solve is memoized per seed (the serial loops
+/// deployment. Each seed's chain solves the base once (the serial loops
 /// re-solved it for every k-point).
 ///
 /// Both columns ride per-seed warm-start chains: one [`DeltaInstance`]
@@ -379,7 +368,7 @@ pub fn incremental_report(
         &spec,
         "section,x,incremental_total,scratch_total,penalty",
         |c: ChainCase<'_, u32>| {
-            let setup = incremental_seed_setup(c.memo, pop, c.seed);
+            let setup = incremental_seed_setup(pop, c.seed);
             let mut inc_chain = DeltaInstance::from_instance(&setup.inst);
             inc_chain
                 .try_set_installed(&setup.base_edges)
@@ -405,9 +394,10 @@ pub fn incremental_report(
 }
 
 /// Section-1/4.3 expected gain: coverage bought by adding 1..n optimally
-/// placed devices on top of the `PPM(0.8)` base (memoized per seed, as in
-/// [`incremental_report`]). The budget MIP rides a per-seed warm-start
-/// chain over the extras grid (only the budget row's RHS moves).
+/// placed devices on top of the `PPM(0.8)` base (solved once per seed's
+/// chain, as in [`incremental_report`]). The budget MIP rides a per-seed
+/// warm-start chain over the extras grid (only the budget row's RHS
+/// moves).
 pub fn budget_gain_report(
     engine: &Engine,
     pop: &Pop,
@@ -420,7 +410,7 @@ pub fn budget_gain_report(
         &spec,
         "section,x,coverage_gain,coverage_after_percent,unused",
         |c: ChainCase<'_, u32>| {
-            let setup = incremental_seed_setup(c.memo, pop, c.seed);
+            let setup = incremental_seed_setup(pop, c.seed);
             let before = setup.inst.coverage(&setup.base_edges);
             let mut chain = DeltaInstance::from_instance(&setup.inst);
             chain

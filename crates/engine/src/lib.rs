@@ -25,9 +25,12 @@
 //! deployment solved once per sweep point, the same probe set reused by
 //! three placement strategies, the same shortest-path tree queried per
 //! traffic. [`memo::Memo`] is a typed, thread-safe cache keyed by
-//! `(domain, u64)`; the first computation wins and everyone else gets the
-//! shared `Arc`. Builders must be deterministic — the cache trades *time*,
-//! never *values*, so memoized and unmemoized runs stay byte-identical.
+//! `(domain, u64)`, shared by every case of one [`Engine::run_cases`]
+//! grid; the first computation wins and everyone else gets the shared
+//! `Arc`. Seed chains ([`ChainCase`]) carry none: a chain is its seed's
+//! only work unit, so nothing would ever read its entries back. Builders
+//! must be deterministic — the cache trades *time*, never *values*, so
+//! memoized and unmemoized runs stay byte-identical.
 //!
 //! See `DESIGN.md` (workspace root) for the threading model rationale.
 
@@ -93,15 +96,14 @@ pub struct Case<'a, P> {
 /// (an LP basis, a route cache) from point to point. Because a chain is
 /// confined to one worker and is keyed by seed alone, the engine's
 /// determinism contract is unchanged — results land in the same
-/// `[point][seed]` slots as an unchained run, and the memo keying by seed
-/// is untouched.
+/// `[point][seed]` slots as an unchained run. A chain is the only work
+/// unit of its seed, so it has nothing to share with other chains and
+/// carries no memo: it builds its per-seed artifacts itself.
 pub struct ChainCase<'a, P> {
     /// All sweep points, in `ScenarioSpec::points` order.
     pub points: &'a [P],
     /// Seed in `0..seeds_per_point`.
     pub seed: u64,
-    /// Cache shared by every chain of this `run`.
-    pub memo: &'a Memo,
 }
 
 /// The scenario engine: a worker-pool executor for [`ScenarioSpec`]s.
@@ -151,51 +153,22 @@ impl Engine {
         R: Send,
         F: Fn(Case<'_, P>) -> R + Sync,
     {
-        let seeds = spec.seeds_per_point.max(1);
-        let total = spec.points.len() * seeds as usize;
+        let seeds = spec.seeds_per_point.max(1) as usize;
         let memo = Memo::new();
-
-        let run_one = |i: usize| {
-            let point_index = i / seeds as usize;
-            let seed = (i % seeds as usize) as u64;
+        let mut results = run_pool(self.threads, spec.points.len() * seeds, |i| {
+            let point_index = i / seeds;
             case(Case {
                 point: &spec.points[point_index],
                 point_index,
-                seed,
+                seed: (i % seeds) as u64,
                 memo: &memo,
             })
-        };
-
-        let mut slots: Vec<Option<R>> = if self.threads <= 1 || total <= 1 {
-            (0..total).map(|i| Some(run_one(i))).collect()
-        } else {
-            let cursor = AtomicUsize::new(0);
-            let results = Mutex::new((0..total).map(|_| None).collect::<Vec<Option<R>>>());
-            let workers = self.threads.min(total);
-            std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    scope.spawn(|| loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        if i >= total {
-                            break;
-                        }
-                        let r = run_one(i);
-                        results.lock().expect("result store poisoned")[i] = Some(r);
-                    });
-                }
-            });
-            results.into_inner().expect("result store poisoned")
-        };
-
-        let mut grouped = Vec::with_capacity(spec.points.len());
-        for p in 0..spec.points.len() {
-            let row: Vec<R> = slots[p * seeds as usize..(p + 1) * seeds as usize]
-                .iter_mut()
-                .map(|s| s.take().expect("worker pool left a case unfilled"))
-                .collect();
-            grouped.push(row);
-        }
-        grouped
+        })
+        .into_iter();
+        spec.points
+            .iter()
+            .map(|_| results.by_ref().take(seeds).collect())
+            .collect()
     }
 
     /// Runs the grid as per-seed *chains*: one work unit per seed, whose
@@ -218,13 +191,10 @@ impl Engine {
         F: Fn(ChainCase<'_, P>) -> Vec<R> + Sync,
     {
         let seeds = spec.seeds_per_point.max(1) as usize;
-        let memo = Memo::new();
-
-        let run_one = |seed: usize| {
+        let per_seed = run_pool(self.threads, seeds, |seed| {
             let out = chain(ChainCase {
                 points: &spec.points,
                 seed: seed as u64,
-                memo: &memo,
             });
             assert_eq!(
                 out.len(),
@@ -234,48 +204,18 @@ impl Engine {
                 spec.points.len()
             );
             out
-        };
-
-        let mut per_seed: Vec<Option<Vec<R>>> = if self.threads <= 1 || seeds <= 1 {
-            (0..seeds).map(|s| Some(run_one(s))).collect()
-        } else {
-            let cursor = AtomicUsize::new(0);
-            let results = Mutex::new((0..seeds).map(|_| None).collect::<Vec<Option<Vec<R>>>>());
-            let workers = self.threads.min(seeds);
-            std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    scope.spawn(|| loop {
-                        let s = cursor.fetch_add(1, Ordering::Relaxed);
-                        if s >= seeds {
-                            break;
-                        }
-                        let r = run_one(s);
-                        results.lock().expect("result store poisoned")[s] = Some(r);
-                    });
-                }
-            });
-            results.into_inner().expect("result store poisoned")
-        };
-
+        });
         // Transpose seed-major chains into the point-major grouping.
-        let mut chains: Vec<std::vec::IntoIter<R>> = per_seed
-            .iter_mut()
-            .map(|s| {
-                s.take()
-                    .expect("worker pool left a chain unfilled")
-                    .into_iter()
-            })
-            .collect();
-        let mut grouped = Vec::with_capacity(spec.points.len());
-        for _ in 0..spec.points.len() {
-            grouped.push(
+        let mut chains: Vec<_> = per_seed.into_iter().map(Vec::into_iter).collect();
+        spec.points
+            .iter()
+            .map(|_| {
                 chains
                     .iter_mut()
                     .map(|it| it.next().expect("length checked above"))
-                    .collect(),
-            );
-        }
-        grouped
+                    .collect()
+            })
+            .collect()
     }
 
     /// [`Engine::run_seed_chains`] + per-point CSV rendering: the chained
@@ -294,18 +234,7 @@ impl Engine {
         F: Fn(ChainCase<'_, P>) -> Vec<R> + Sync,
         G: Fn(&P, &[R]) -> String,
     {
-        let grouped = self.run_seed_chains(spec, chain);
-        let rows = spec
-            .points
-            .iter()
-            .zip(&grouped)
-            .map(|(p, results)| row(p, results))
-            .collect();
-        ScenarioReport {
-            name: spec.name.clone(),
-            header: header.into(),
-            rows,
-        }
+        render(spec, header.into(), &self.run_seed_chains(spec, chain), row)
     }
 
     /// Runs the grid and renders one CSV row per point via `row`.
@@ -325,18 +254,60 @@ impl Engine {
         F: Fn(Case<'_, P>) -> R + Sync,
         G: Fn(&P, &[R]) -> String,
     {
-        let grouped = self.run_cases(spec, case);
-        let rows = spec
+        render(spec, header.into(), &self.run_cases(spec, case), row)
+    }
+}
+
+/// The worker pool: runs `job(i)` for every `i` in `0..n` on up to
+/// `threads` scoped workers pulling the next index from a shared atomic
+/// cursor, and returns the results in index order — so the output never
+/// depends on which worker ran which job.
+fn run_pool<R, F>(threads: usize, n: usize, job: F) -> Vec<R>
+where
+    R: Send,
+    F: Fn(usize) -> R + Sync,
+{
+    if threads <= 1 || n <= 1 {
+        return (0..n).map(job).collect();
+    }
+    let cursor = AtomicUsize::new(0);
+    let results = Mutex::new((0..n).map(|_| None).collect::<Vec<Option<R>>>());
+    std::thread::scope(|scope| {
+        for _ in 0..threads.min(n) {
+            scope.spawn(|| loop {
+                let i = cursor.fetch_add(1, Ordering::Relaxed);
+                if i >= n {
+                    break;
+                }
+                let r = job(i);
+                results.lock().expect("result store poisoned")[i] = Some(r);
+            });
+        }
+    });
+    results
+        .into_inner()
+        .expect("result store poisoned")
+        .into_iter()
+        .map(|r| r.expect("worker pool left a job unfilled"))
+        .collect()
+}
+
+/// Renders one CSV row per point from its point-grouped results.
+fn render<P, R>(
+    spec: &ScenarioSpec<P>,
+    header: String,
+    grouped: &[Vec<R>],
+    row: impl Fn(&P, &[R]) -> String,
+) -> ScenarioReport {
+    ScenarioReport {
+        name: spec.name.clone(),
+        header,
+        rows: spec
             .points
             .iter()
-            .zip(&grouped)
+            .zip(grouped)
             .map(|(p, results)| row(p, results))
-            .collect();
-        ScenarioReport {
-            name: spec.name.clone(),
-            header: header.into(),
-            rows,
-        }
+            .collect(),
     }
 }
 

@@ -11,10 +11,10 @@
 //! replays the identical node sequence, incumbent trajectory, and final
 //! solution bit-for-bit.
 //!
-//! The relaxation is tightened with **cutting planes** (see [`crate::cuts`]):
-//! [`MipOptions::cut_rounds`] violated rounds at the root and one round at
-//! nodes no deeper than [`MipOptions::node_cut_depth`]. Cut rows are
-//! appended with [`Model::add_constr`] and the LP re-solved from the
+//! The relaxation is tightened at the root with **cutting planes** (see
+//! [`crate::cuts`]): up to [`MipOptions::cut_rounds`] violated rounds.
+//! Cut rows are globally valid, so they tighten every later node too. They
+//! are appended with [`Model::add_constr`] and the LP re-solved from the
 //! previous basis — the warm-start row-extension path makes each re-solve
 //! a short dual repair of just the violated rows instead of a cold solve.
 //!
@@ -68,10 +68,6 @@ pub struct MipOptions {
     /// Each round appends the violated rows and re-solves the root LP from
     /// its previous basis.
     pub cut_rounds: usize,
-    /// Additionally separate one round of cuts at interior nodes of depth
-    /// at most this (0 = root only). The rows are globally valid, so they
-    /// tighten every later node, not just the separating one.
-    pub node_cut_depth: usize,
     /// Reliability threshold η: a pseudocost direction with fewer than η
     /// real observations is distrusted, and the candidate is
     /// strong-branched (child LP solved) instead. 0 disables strong
@@ -115,7 +111,6 @@ impl Default for MipOptions {
             presolve: true,
             warm_basis: false,
             cut_rounds: 4,
-            node_cut_depth: 0,
             reliability: 4,
             strong_cands: 8,
             threads: 1,
@@ -739,51 +734,9 @@ pub(crate) fn solve_outcome(
                 }
             }
 
-            let mut bound = strengthen(sol.objective);
+            let bound = strengthen(sol.objective);
             if closed_by(&incumbent, bound, opts.rel_gap) {
                 continue;
-            }
-
-            // Shallow interior nodes: one violated round of globally valid
-            // cuts, re-solved under this node's bounds.
-            if node.depth > 0 && node.depth <= opts.node_cut_depth {
-                let found = cuts::separate(&root_model, &sol.values, CUTS_PER_ROUND);
-                if append_cuts(&mut root_model, &mut node_model, &found, &mut seen_cuts) > 0 {
-                    for &(j, lo, hi) in &node.changes {
-                        node_model.vars[j].lo = lo;
-                        node_model.vars[j].hi = hi;
-                    }
-                    let mut cut_work = 0u64;
-                    let lp2 =
-                        simplex::solve(&node_model, basis.as_ref(), true, lp_budget, &mut cut_work);
-                    restore(&mut node_model, &root_model, &node.changes);
-                    work_spent += cut_work;
-                    match lp2 {
-                        Ok((s2, b2)) => {
-                            iterations += s2.iterations;
-                            sol = s2;
-                            basis = b2;
-                        }
-                        // Only this subtree is proven empty.
-                        Err(SolverError::Infeasible) => continue,
-                        // Budget trip mid-tightening: terminal (see the
-                        // root-cut trip above) — the pre-cut relaxation
-                        // is untouched and still a valid bound for the
-                        // requeued node.
-                        Err(SolverError::Interrupted { .. }) => {
-                            let mut back = node.clone();
-                            back.bound = bound;
-                            open.push(back);
-                            interrupted = true;
-                            continue;
-                        }
-                        Err(e) => return Err(e),
-                    }
-                    bound = strengthen(sol.objective);
-                    if closed_by(&incumbent, bound, opts.rel_gap) {
-                        continue;
-                    }
-                }
             }
 
             // ---- expansion, under this node's bounds ----
@@ -1127,7 +1080,6 @@ mod tests {
     fn plain() -> MipOptions {
         MipOptions {
             cut_rounds: 0,
-            node_cut_depth: 0,
             reliability: 0,
             threads: 1,
             node_batch: 1,
@@ -1352,7 +1304,6 @@ mod tests {
             let rich = m
                 .solve_mip_with(&MipOptions {
                     cut_rounds: 4,
-                    node_cut_depth: 2,
                     reliability: 2,
                     node_batch: 4,
                     threads: 2,

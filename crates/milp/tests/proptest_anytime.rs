@@ -70,7 +70,6 @@ fn build(inst: &Instance) -> Model {
 fn engine(threads: usize, work_budget: Option<u64>) -> MipOptions {
     MipOptions {
         cut_rounds: 4,
-        node_cut_depth: 2,
         reliability: 2,
         strong_cands: 4,
         threads,

@@ -72,7 +72,6 @@ fn build(inst: &Instance) -> Model {
 fn plain() -> MipOptions {
     MipOptions {
         cut_rounds: 0,
-        node_cut_depth: 0,
         reliability: 0,
         strong_cands: 0,
         threads: 1,
@@ -85,7 +84,6 @@ fn plain() -> MipOptions {
 fn enriched(threads: usize) -> MipOptions {
     MipOptions {
         cut_rounds: 4,
-        node_cut_depth: 2,
         reliability: 2,
         strong_cands: 4,
         threads,

@@ -84,12 +84,20 @@ struct SemState {
     waiting: usize,
 }
 
-/// The outcome of a bounded slot acquisition.
-enum Acquired {
-    /// A permit is held; the caller must [`Semaphore::release`] it.
-    Permit,
-    /// The waiting queue was full; nothing is held.
-    Shed,
+/// A held permit. Dropping it returns the permit — also while a
+/// panicking request unwinds, so a handler panic cannot leak a slot.
+struct Permit<'a>(&'a Semaphore);
+
+impl Drop for Permit<'_> {
+    fn drop(&mut self) {
+        // Never panic here: this runs during unwinding, and a second
+        // panic would abort. Nothing panics while the state lock is held,
+        // so a poisoned lock still guards consistent counts.
+        let mut s = self.0.state.lock().unwrap_or_else(|e| e.into_inner());
+        s.permits += 1;
+        drop(s);
+        self.0.cv.notify_one();
+    }
 }
 
 impl Semaphore {
@@ -105,12 +113,12 @@ impl Semaphore {
 
     /// Takes a permit, blocking on the condvar while all are busy —
     /// unless `queue_cap` requests are already waiting, in which case the
-    /// caller is shed without blocking.
-    fn acquire_or_shed(&self, queue_cap: usize) -> Acquired {
+    /// caller is shed without blocking (`None`).
+    fn acquire_or_shed(&self, queue_cap: usize) -> Option<Permit<'_>> {
         let mut s = self.state.lock().expect("semaphore poisoned");
         if s.permits == 0 {
             if s.waiting >= queue_cap {
-                return Acquired::Shed;
+                return None;
             }
             s.waiting += 1;
             while s.permits == 0 {
@@ -119,12 +127,7 @@ impl Semaphore {
             s.waiting -= 1;
         }
         s.permits -= 1;
-        Acquired::Permit
-    }
-
-    fn release(&self) {
-        self.state.lock().expect("semaphore poisoned").permits += 1;
-        self.cv.notify_one();
+        Some(Permit(self))
     }
 }
 
@@ -262,15 +265,14 @@ fn serve_connection(
                 continue;
             }
             let reply = match semaphore.acquire_or_shed(queue_cap) {
-                Acquired::Permit => {
-                    let reply = service.handle_line(trimmed);
-                    semaphore.release();
-                    reply
-                }
+                // The guard is held across the handler and released when
+                // the arm ends (or when a panic unwinds through it).
+                Some(_permit) => service.handle_line(trimmed),
                 // Shed path: nothing was processed and no state touched.
-                // Health probes are exempt — they are O(shards) cheap and
-                // must keep answering while the solver slots are saturated.
-                Acquired::Shed => {
+                // Health probes are exempt — they are cheap (one table
+                // lock) and must keep answering while the solver slots
+                // are saturated.
+                None => {
                     if matches!(
                         crate::protocol::parse_request(trimmed),
                         Ok(crate::protocol::Request::Health)
@@ -388,17 +390,11 @@ mod tests {
         // One permit, held by the test: waiters must park on the condvar
         // (no spinning to observe) and wake exactly when released.
         let sem = Arc::new(Semaphore::new(1));
-        assert!(matches!(sem.acquire_or_shed(4), Acquired::Permit));
+        let held = sem.acquire_or_shed(4).expect("the only permit is free");
         let waiters: Vec<_> = (0..3)
             .map(|_| {
                 let sem = sem.clone();
-                std::thread::spawn(move || match sem.acquire_or_shed(4) {
-                    Acquired::Permit => {
-                        sem.release();
-                        true
-                    }
-                    Acquired::Shed => false,
-                })
+                std::thread::spawn(move || sem.acquire_or_shed(4).is_some())
             })
             .collect();
         // Give the waiters time to enqueue, then check the shed path: a
@@ -406,13 +402,35 @@ mod tests {
         while sem.state.lock().unwrap().waiting < 3 {
             std::thread::sleep(Duration::from_millis(1));
         }
-        assert!(matches!(sem.acquire_or_shed(0), Acquired::Shed));
-        assert!(matches!(sem.acquire_or_shed(3), Acquired::Shed));
+        assert!(sem.acquire_or_shed(0).is_none());
+        assert!(sem.acquire_or_shed(3).is_none());
         // Release the held permit: every queued waiter must drain.
-        sem.release();
+        drop(held);
         for w in waiters {
             assert!(w.join().unwrap(), "queued waiter must get a permit");
         }
+        let s = sem.state.lock().unwrap();
+        assert_eq!(s.permits, 1);
+        assert_eq!(s.waiting, 0);
+    }
+
+    #[test]
+    fn a_panicking_holder_returns_its_permit() {
+        // The only permit is taken by a thread that panics while holding
+        // it, as a request handler would: unwinding must drop the guard,
+        // so the permit is acquirable again and nothing waits for it.
+        let sem = Arc::new(Semaphore::new(1));
+        let holder = {
+            let sem = sem.clone();
+            std::thread::spawn(move || {
+                let _permit = sem.acquire_or_shed(0).expect("the only permit is free");
+                panic!("request handler panicked while holding the permit");
+            })
+        };
+        assert!(holder.join().is_err(), "the holder must have panicked");
+        let again = sem.acquire_or_shed(0);
+        assert!(again.is_some(), "the panicked holder leaked its permit");
+        drop(again);
         let s = sem.state.lock().unwrap();
         assert_eq!(s.permits, 1);
         assert_eq!(s.waiting, 0);

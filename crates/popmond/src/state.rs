@@ -1,4 +1,4 @@
-//! The resident service: sharded instance cache, warm delta chains, and
+//! The resident service: one instance table, warm delta chains, and
 //! per-instance solve coalescing.
 //!
 //! [`Service`] is the whole daemon behind one thread-safe entry point,
@@ -11,21 +11,29 @@
 //!
 //! ## Cache layout
 //!
-//! Instances live in a 16-way sharded `id → Arc<Slot>` map (hash-sharded
-//! like `engine::Memo`, first insert wins). Each slot holds the immutable
+//! Instances live in one mutex-guarded `id → Arc<Slot>` table, ordered by
+//! id. A load builds its instance outside the lock, then checks the
+//! `max_instances` cap and inserts under the one lock, so racing loads
+//! can never land past the cap; a load of an id already resident keeps
+//! the stored slot (first insert wins). Each slot holds the immutable
 //! topology plus a mutex-guarded `SlotState`: the instance's
 //! [`DeltaInstance`] warm chain, a version counter bumped by every
-//! mutation, and a per-version solve memo. A solve locks the slot, so
-//! identical concurrent queries serialize onto one solver run: the first
-//! computes and stores, the rest hit the memo — that is the coalescing
-//! contract, and it is deterministic because the memo key covers the full
-//! canonical query and the instance version.
+//! mutation, and two answer maps keyed by the exact
+//! [`protocol::query_key`] text — PPM answers, cleared on every mutation,
+//! and APM answers, which survive mutations because the router topology
+//! never changes. A solve locks the slot, so identical concurrent queries
+//! serialize onto one solver run: the first computes and stores, the rest
+//! hit the map — that is the coalescing contract, and it is deterministic
+//! because the key is the full canonical query.
+//!
+//! Every handler returns its response fields or a typed [`Error`];
+//! [`Service::handle_line`] alone writes the `"ok"`/`"op"` envelope or the
+//! error line.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use engine::Memo;
 use placement::delta::DeltaInstance;
 use placement::instance::PpmInstance;
 use placement::resilience::score_ensemble;
@@ -38,22 +46,8 @@ use popgen::{
 use crate::json::Value;
 use crate::protocol::{self, Error, Method, Mode, Page, Request, SolveQuery, WhatIf};
 
-/// Number of instance-cache shards (mirrors `engine::Memo`).
-const SHARDS: usize = 16;
-
-/// FNV-1a over a version prefix plus a text key — the solve-memo key.
-fn fnv64(version: u64, text: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in version.to_le_bytes().into_iter().chain(text.bytes()) {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
-
-fn shard_of(id: &str) -> usize {
-    (fnv64(0, id) % SHARDS as u64) as usize
-}
+/// The fields of one successful response, after the `"ok"`/`"op"` pair.
+type Fields = Vec<(String, Value)>;
 
 /// Maps a typed `popgen` spec error onto the wire's one-line error
 /// contract (keeping the field/reason structure instead of re-stringifying
@@ -83,21 +77,31 @@ struct SlotMeta {
 }
 
 /// The mutable half of a slot, guarded by one mutex: the warm chain and
-/// its coalescing memo.
+/// its coalescing answer maps.
 struct SlotState {
     delta: DeltaInstance,
-    /// Bumped by every mutation; part of every solve-memo key.
+    /// Bumped by every mutation.
     version: u64,
-    mutations: u64,
     /// Solver invocations actually performed.
     solves: u64,
-    /// Responses served from the per-version memo instead of a solve.
+    /// Responses served from an answer map instead of a solve.
     coalesced: u64,
-    /// Per-version solve cache; replaced on every mutation.
-    memo: Memo,
-    /// Active-monitoring cache: the router topology never mutates, so
-    /// this one survives version bumps.
-    apm_memo: Memo,
+    /// PPM answers at this version, keyed by [`protocol::query_key`];
+    /// cleared on every mutation.
+    ppm: HashMap<String, Arc<SolveOutcome>>,
+    /// APM answers: the router topology never mutates, so these survive
+    /// version bumps.
+    apm: HashMap<String, Arc<SolveOutcome>>,
+}
+
+impl SlotState {
+    /// The answer map for queries of `mode`.
+    fn answers(&mut self, mode: Mode) -> &mut HashMap<String, Arc<SolveOutcome>> {
+        match mode {
+            Mode::Ppm => &mut self.ppm,
+            Mode::Apm => &mut self.apm,
+        }
+    }
 }
 
 struct Slot {
@@ -126,18 +130,9 @@ pub struct Reply {
     pub shutdown: bool,
 }
 
-impl Reply {
-    fn ok(text: String) -> Self {
-        Reply {
-            text,
-            shutdown: false,
-        }
-    }
-}
-
 /// The resident placement service (see the module docs).
 pub struct Service {
-    shards: [Mutex<HashMap<String, Arc<Slot>>>; SHARDS],
+    instances: Mutex<BTreeMap<String, Arc<Slot>>>,
     config: ServiceConfig,
     requests: AtomicU64,
 }
@@ -146,7 +141,7 @@ impl Service {
     /// Creates an empty service.
     pub fn new(config: ServiceConfig) -> Self {
         Service {
-            shards: std::array::from_fn(|_| Mutex::new(HashMap::new())),
+            instances: Mutex::new(BTreeMap::new()),
             config,
             requests: AtomicU64::new(0),
         }
@@ -157,38 +152,50 @@ impl Service {
     /// and validation happens before any state is touched.
     pub fn handle_line(&self, line: &str) -> Reply {
         self.requests.fetch_add(1, Ordering::Relaxed);
-        if line.len() > protocol::MAX_LINE {
-            return Reply::ok(
-                Error::new(
-                    "oversized_line",
-                    format!(
-                        "request of {} bytes exceeds the {} byte limit",
-                        line.len(),
-                        protocol::MAX_LINE
-                    ),
-                )
-                .to_json(),
-            );
-        }
-        let request = match protocol::parse_request(line) {
-            Ok(r) => r,
-            Err(e) => return Reply::ok(e.to_json()),
+        let answer = self.dispatch(line);
+        let shutdown = matches!(answer, Ok(("shutdown", _)));
+        let text = match answer {
+            Ok((op, fields)) => {
+                let mut all = vec![
+                    ("ok".into(), Value::Bool(true)),
+                    ("op".into(), Value::Str(op.into())),
+                ];
+                all.extend(fields);
+                Value::Obj(all).to_json()
+            }
+            Err(e) => e.to_json(),
         };
-        match request {
-            Request::Load { id, doc, routed } => Reply::ok(self.load_document(id, &doc, routed)),
+        Reply { text, shutdown }
+    }
+
+    /// Parses one line and runs its handler: the response's `op` name and
+    /// fields, or the typed error the line answers with.
+    fn dispatch(&self, line: &str) -> Result<(&'static str, Fields), Error> {
+        if line.len() > protocol::MAX_LINE {
+            return Err(Error::new(
+                "oversized_line",
+                format!(
+                    "request of {} bytes exceeds the {} byte limit",
+                    line.len(),
+                    protocol::MAX_LINE
+                ),
+            ));
+        }
+        Ok(match protocol::parse_request(line)? {
+            Request::Load { id, doc, routed } => ("load", self.load_document(id, &doc, routed)?),
             Request::LoadSpec {
                 id,
                 spec,
                 seed,
                 routed,
-            } => Reply::ok(self.load_spec(id, &spec, seed, routed)),
-            Request::Solve { id, query, page } => Reply::ok(self.solve(&id, &query, page)),
+            } => ("load", self.load_spec(id, &spec, seed, routed)?),
+            Request::Solve { id, query, page } => ("solve", self.solve(&id, &query, page)?),
             Request::WhatIf {
                 id,
                 action,
                 resolve,
                 page,
-            } => Reply::ok(self.whatif(&id, &action, resolve.as_ref(), page)),
+            } => ("whatif", self.whatif(&id, &action, resolve.as_ref(), page)?),
             Request::ScoreEnsemble {
                 id,
                 failure,
@@ -197,29 +204,25 @@ impl Service {
                 seed,
                 placement,
                 page,
-            } => Reply::ok(self.score_ensemble(
-                &id,
-                &failure,
-                dynamic.as_deref(),
-                scenarios,
-                seed,
-                placement,
-                page,
-            )),
-            Request::Inspect { id } => Reply::ok(self.inspect(&id)),
-            Request::List => Reply::ok(self.list()),
-            Request::Stats => Reply::ok(self.stats()),
-            Request::Health => Reply::ok(self.health()),
-            Request::Evict { id } => Reply::ok(self.evict(&id)),
-            Request::Shutdown => Reply {
-                text: Value::Obj(vec![
-                    ("ok".into(), Value::Bool(true)),
-                    ("op".into(), Value::Str("shutdown".into())),
-                ])
-                .to_json(),
-                shutdown: true,
-            },
-        }
+            } => (
+                "score_ensemble",
+                self.score_ensemble(
+                    &id,
+                    &failure,
+                    dynamic.as_deref(),
+                    scenarios,
+                    seed,
+                    placement,
+                    page,
+                )?,
+            ),
+            Request::Inspect { id } => ("inspect", self.inspect(&id)?),
+            Request::List => ("list", self.list()),
+            Request::Stats => ("stats", self.stats()),
+            Request::Health => ("health", self.health()),
+            Request::Evict { id } => ("evict", self.evict(&id)),
+            Request::Shutdown => ("shutdown", Vec::new()),
+        })
     }
 
     /// Total requests handled (all connections).
@@ -229,23 +232,21 @@ impl Service {
 
     /// Number of resident instances.
     pub fn instance_count(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().expect("shard poisoned").len())
-            .sum()
+        self.instances
+            .lock()
+            .expect("instance table poisoned")
+            .len()
     }
 
     // ---- loads ----------------------------------------------------------
 
-    fn load_document(&self, id: String, doc: &str, routed: bool) -> String {
-        let (pop, ts) = match fileio::parse(doc) {
-            Ok(x) => x,
-            Err(e) => return Error::new("bad_document", e.to_string()).to_json(),
-        };
+    fn load_document(&self, id: String, doc: &str, routed: bool) -> Result<Fields, Error> {
+        let (pop, ts) =
+            fileio::parse(doc).map_err(|e| Error::new("bad_document", e.to_string()))?;
         self.insert(id, pop, ts, routed, "document".to_string())
     }
 
-    fn load_spec(&self, id: String, spec: &str, seed: u64, routed: bool) -> String {
+    fn load_spec(&self, id: String, spec: &str, seed: u64, routed: bool) -> Result<Fields, Error> {
         let preset = |s: PopSpec| {
             let pop = s.build();
             let ts = TrafficSpec::default().generate(&pop, seed);
@@ -263,14 +264,8 @@ impl Service {
             "scale_100" => preset(PopSpec::scale_100()),
             "large_150" => preset(PopSpec::large_150()),
             line => {
-                let family: FamilySpec = match line.parse() {
-                    Ok(f) => f,
-                    Err(e) => return spec_error(e).to_json(),
-                };
-                let pop = match family.build(seed) {
-                    Ok(p) => p,
-                    Err(e) => return spec_error(e).to_json(),
-                };
+                let family: FamilySpec = line.parse().map_err(spec_error)?;
+                let pop = family.build(seed).map_err(spec_error)?;
                 let ts = GravitySpec::default().generate(&pop, seed);
                 (pop, ts)
             }
@@ -278,11 +273,18 @@ impl Service {
         self.insert(id, pop, ts, routed, spec.to_string())
     }
 
-    /// First-insert-wins slot creation (like `engine::Memo`): the instance
-    /// is built outside the shard lock, and a concurrent load of the same
-    /// id keeps whichever slot landed first — both callers get a response
-    /// describing the stored slot.
-    fn insert(&self, id: String, pop: Pop, ts: TrafficSet, routed: bool, origin: String) -> String {
+    /// First-insert-wins slot creation: the instance is built outside the
+    /// table lock; the cap check and the insert share one lock, and a
+    /// concurrent load of the same id keeps whichever slot landed first —
+    /// both callers get a response describing the stored slot.
+    fn insert(
+        &self,
+        id: String,
+        pop: Pop,
+        ts: TrafficSet,
+        routed: bool,
+        origin: String,
+    ) -> Result<Fields, Error> {
         let delta = if routed {
             DeltaInstance::from_traffic(&pop.graph, &ts)
         } else {
@@ -297,41 +299,34 @@ impl Service {
             state: Mutex::new(SlotState {
                 delta,
                 version: 0,
-                mutations: 0,
                 solves: 0,
                 coalesced: 0,
-                memo: Memo::new(),
-                apm_memo: Memo::new(),
+                ppm: HashMap::new(),
+                apm: HashMap::new(),
             }),
         });
-        // Count before taking the shard lock (instance_count locks every
-        // shard in turn). The cap is a soft guard against unbounded
-        // resident instances; a racing load may land one slot over.
-        let count = self.instance_count();
         let (stored, created) = {
-            let mut shard = self.shards[shard_of(&id)].lock().expect("shard poisoned");
-            match shard.get(&id) {
+            let mut instances = self.instances.lock().expect("instance table poisoned");
+            match instances.get(&id) {
                 Some(existing) => (existing.clone(), false),
                 None => {
+                    let count = instances.len();
                     if count >= self.config.max_instances {
-                        return Error::new(
+                        return Err(Error::new(
                             "cache_full",
                             format!(
                                 "instance cache holds {count} of {} slots",
                                 self.config.max_instances
                             ),
-                        )
-                        .to_json();
+                        ));
                     }
-                    shard.insert(id.clone(), slot.clone());
+                    instances.insert(id.clone(), slot.clone());
                     (slot, true)
                 }
             }
         };
         let state = stored.state.lock().expect("slot poisoned");
-        Value::Obj(vec![
-            ("ok".into(), Value::Bool(true)),
-            ("op".into(), Value::Str("load".into())),
+        Ok(vec![
             ("id".into(), Value::Str(id)),
             ("created".into(), Value::Bool(created)),
             ("routed".into(), Value::Bool(stored.meta.routed)),
@@ -349,13 +344,12 @@ impl Service {
             ),
             ("version".into(), Value::Num(state.version as f64)),
         ])
-        .to_json()
     }
 
     fn get(&self, id: &str) -> Result<Arc<Slot>, Error> {
-        self.shards[shard_of(id)]
+        self.instances
             .lock()
-            .expect("shard poisoned")
+            .expect("instance table poisoned")
             .get(id)
             .cloned()
             .ok_or_else(|| Error::new("no_such_instance", format!("no instance {id:?}")))
@@ -363,20 +357,13 @@ impl Service {
 
     // ---- solves ---------------------------------------------------------
 
-    fn solve(&self, id: &str, query: &SolveQuery, page: Page) -> String {
-        let slot = match self.get(id) {
-            Ok(s) => s,
-            Err(e) => return e.to_json(),
-        };
+    fn solve(&self, id: &str, query: &SolveQuery, page: Page) -> Result<Fields, Error> {
+        let slot = self.get(id)?;
         let mut state = slot.state.lock().expect("slot poisoned");
         let outcome = run_solve(&slot.meta, &mut state, query);
-        let mut fields = vec![
-            ("ok".into(), Value::Bool(true)),
-            ("op".into(), Value::Str("solve".into())),
-            ("id".into(), Value::Str(id.to_string())),
-        ];
+        let mut fields = vec![("id".into(), Value::Str(id.to_string()))];
         fields.extend(solve_fields(&state, query, &outcome, page));
-        Value::Obj(fields).to_json()
+        Ok(fields)
     }
 
     fn whatif(
@@ -385,16 +372,13 @@ impl Service {
         action: &WhatIf,
         resolve: Option<&SolveQuery>,
         page: Page,
-    ) -> String {
-        let slot = match self.get(id) {
-            Ok(s) => s,
-            Err(e) => return e.to_json(),
-        };
+    ) -> Result<Fields, Error> {
+        let slot = self.get(id)?;
         let mut state = slot.state.lock().expect("slot poisoned");
         // The fallible `DeltaInstance` mutators validate against the live
         // instance *before* mutating, so a rejected request cannot poison
         // the chain; their typed errors map onto the wire contract.
-        let applied: Result<(&str, usize), PlacementError> = match action {
+        let (name, rerouted) = match action {
             WhatIf::FailLink(e) => state.delta.try_fail_link(*e).map(|r| ("fail_link", r)),
             WhatIf::RestoreLink(e) => state
                 .delta
@@ -413,17 +397,11 @@ impl Service {
                 .delta
                 .try_set_installed(installed)
                 .map(|()| ("set_installed", 0)),
-        };
-        let (name, rerouted) = match applied {
-            Ok(x) => x,
-            Err(e) => return map_placement_error(e).to_json(),
-        };
+        }
+        .map_err(map_placement_error)?;
         state.version += 1;
-        state.mutations += 1;
-        state.memo = Memo::new();
+        state.ppm.clear();
         let mut fields = vec![
-            ("ok".into(), Value::Bool(true)),
-            ("op".into(), Value::Str("whatif".into())),
             ("id".into(), Value::Str(id.to_string())),
             ("action".into(), Value::Str(name.into())),
             ("version".into(), Value::Num(state.version as f64)),
@@ -440,7 +418,7 @@ impl Service {
                 Value::Obj(solve_fields(&state, query, &outcome, page)),
             ));
         }
-        Value::Obj(fields).to_json()
+        Ok(fields)
     }
 
     // ---- resilience -----------------------------------------------------
@@ -459,43 +437,20 @@ impl Service {
         seed: u64,
         placement: Option<Vec<usize>>,
         page: Page,
-    ) -> String {
-        let slot = match self.get(id) {
-            Ok(s) => s,
-            Err(e) => return e.to_json(),
-        };
-        let fspec: FailureSpec = match failure.parse() {
-            Ok(f) => f,
-            Err(e) => return spec_error(e).to_json(),
-        };
-        let dspec: Option<DynamicSpec> = match dynamic {
-            None => None,
-            Some(line) => match line.parse() {
-                Ok(d) => Some(d),
-                Err(e) => return spec_error(e).to_json(),
-            },
-        };
-        let model = match FailureModel::try_new(&slot.meta.pop, &fspec) {
-            Ok(m) => m,
-            Err(e) => return spec_error(e).to_json(),
-        };
+    ) -> Result<Fields, Error> {
+        let slot = self.get(id)?;
+        let fspec: FailureSpec = failure.parse().map_err(spec_error)?;
+        let dspec: Option<DynamicSpec> = dynamic.map(str::parse).transpose().map_err(spec_error)?;
+        let model = FailureModel::try_new(&slot.meta.pop, &fspec).map_err(spec_error)?;
         let mut state = slot.state.lock().expect("slot poisoned");
-        let ensemble = match model.sample_scenarios(
-            state.delta.traffic_count(),
-            dspec.as_ref(),
-            scenarios,
-            seed,
-        ) {
-            Ok(s) => s,
-            Err(e) => return spec_error(e).to_json(),
-        };
+        let ensemble = model
+            .sample_scenarios(state.delta.traffic_count(), dspec.as_ref(), scenarios, seed)
+            .map_err(spec_error)?;
         let mut placed = placement.unwrap_or_else(|| state.delta.installed().to_vec());
         placed.sort_unstable();
         placed.dedup();
-        let score = match score_ensemble(&mut state.delta, &placed, &ensemble) {
-            Ok(s) => s,
-            Err(e) => return map_placement_error(e).to_json(),
-        };
+        let score =
+            score_ensemble(&mut state.delta, &placed, &ensemble).map_err(map_placement_error)?;
         let n = score.per_scenario.len();
         let pages = n.div_ceil(page.page_size).max(1);
         let start = page.page.saturating_mul(page.page_size).min(n);
@@ -509,9 +464,7 @@ impl Service {
                 ])
             })
             .collect();
-        Value::Obj(vec![
-            ("ok".into(), Value::Bool(true)),
-            ("op".into(), Value::Str("score_ensemble".into())),
+        Ok(vec![
             ("id".into(), Value::Str(id.to_string())),
             ("version".into(), Value::Num(state.version as f64)),
             ("scenarios".into(), Value::Num(n as f64)),
@@ -526,22 +479,17 @@ impl Service {
             ("pages".into(), Value::Num(pages as f64)),
             ("rows".into(), Value::Arr(rows)),
         ])
-        .to_json()
     }
 
     // ---- introspection --------------------------------------------------
 
-    fn inspect(&self, id: &str) -> String {
-        let slot = match self.get(id) {
-            Ok(s) => s,
-            Err(e) => return e.to_json(),
-        };
+    fn inspect(&self, id: &str) -> Result<Fields, Error> {
+        let slot = self.get(id)?;
         let state = slot.state.lock().expect("slot poisoned");
         let inst = state.delta.instance();
         let pop = &slot.meta.pop;
-        Value::Obj(vec![
-            ("ok".into(), Value::Bool(true)),
-            ("op".into(), Value::Str("inspect".into())),
+        let edges = |es: &[usize]| Value::Arr(es.iter().map(|&e| Value::Num(e as f64)).collect());
+        Ok(vec![
             ("id".into(), Value::Str(id.to_string())),
             ("origin".into(), Value::Str(slot.meta.origin.clone())),
             ("routed".into(), Value::Bool(slot.meta.routed)),
@@ -555,43 +503,26 @@ impl Service {
                 Value::Num(inst.max_coverage_fraction()),
             ),
             ("version".into(), Value::Num(state.version as f64)),
-            ("mutations".into(), Value::Num(state.mutations as f64)),
+            // Every mutation bumps the version, so the two counts agree;
+            // the field stays on the wire for existing clients.
+            ("mutations".into(), Value::Num(state.version as f64)),
             ("solves".into(), Value::Num(state.solves as f64)),
             ("coalesced".into(), Value::Num(state.coalesced as f64)),
-            (
-                "installed".into(),
-                Value::Arr(
-                    state
-                        .delta
-                        .installed()
-                        .iter()
-                        .map(|&e| Value::Num(e as f64))
-                        .collect(),
-                ),
-            ),
-            (
-                "disabled".into(),
-                Value::Arr(
-                    state
-                        .delta
-                        .disabled()
-                        .iter()
-                        .map(|&e| Value::Num(e as f64))
-                        .collect(),
-                ),
-            ),
+            ("installed".into(), edges(state.delta.installed())),
+            ("disabled".into(), edges(state.delta.disabled())),
         ])
-        .to_json()
     }
 
-    fn list(&self) -> String {
-        let mut rows: Vec<(String, Arc<Slot>)> = Vec::new();
-        for shard in &self.shards {
-            for (id, slot) in shard.lock().expect("shard poisoned").iter() {
-                rows.push((id.clone(), slot.clone()));
-            }
-        }
-        rows.sort_by(|a, b| a.0.cmp(&b.0));
+    fn list(&self) -> Fields {
+        // Clone the slot handles out first: a slot lock can be held by a
+        // long solve, and waiting on it must not block the table.
+        let rows: Vec<(String, Arc<Slot>)> = self
+            .instances
+            .lock()
+            .expect("instance table poisoned")
+            .iter()
+            .map(|(id, slot)| (id.clone(), slot.clone()))
+            .collect();
         let instances: Vec<Value> = rows
             .into_iter()
             .map(|(id, slot)| {
@@ -611,28 +542,18 @@ impl Service {
                 ])
             })
             .collect();
-        Value::Obj(vec![
-            ("ok".into(), Value::Bool(true)),
-            ("op".into(), Value::Str("list".into())),
-            ("instances".into(), Value::Arr(instances)),
-        ])
-        .to_json()
+        vec![("instances".into(), Value::Arr(instances))]
     }
 
-    fn stats(&self) -> String {
-        Value::Obj(vec![
-            ("ok".into(), Value::Bool(true)),
-            ("op".into(), Value::Str("stats".into())),
+    fn stats(&self) -> Fields {
+        vec![
             ("instances".into(), Value::Num(self.instance_count() as f64)),
             ("requests".into(), Value::Num(self.request_count() as f64)),
-        ])
-        .to_json()
+        ]
     }
 
-    fn health(&self) -> String {
-        Value::Obj(vec![
-            ("ok".into(), Value::Bool(true)),
-            ("op".into(), Value::Str("health".into())),
+    fn health(&self) -> Fields {
+        vec![
             ("status".into(), Value::Str("ok".into())),
             ("instances".into(), Value::Num(self.instance_count() as f64)),
             (
@@ -640,56 +561,40 @@ impl Service {
                 Value::Num(self.config.max_instances as f64),
             ),
             ("requests".into(), Value::Num(self.request_count() as f64)),
-        ])
-        .to_json()
+        ]
     }
 
-    fn evict(&self, id: &str) -> String {
-        let existed = self.shards[shard_of(id)]
+    fn evict(&self, id: &str) -> Fields {
+        let existed = self
+            .instances
             .lock()
-            .expect("shard poisoned")
+            .expect("instance table poisoned")
             .remove(id)
             .is_some();
-        Value::Obj(vec![
-            ("ok".into(), Value::Bool(true)),
-            ("op".into(), Value::Str("evict".into())),
+        vec![
             ("id".into(), Value::Str(id.to_string())),
             ("existed".into(), Value::Bool(existed)),
-        ])
-        .to_json()
+        ]
     }
 }
 
-/// Runs (or coalesces) one solve under the slot lock. The memo key covers
-/// the canonical query and the instance version, so a repeat of a query
-/// already answered at this version returns the stored outcome — the
-/// coalescing path — and a mutation (version bump) naturally misses.
+/// Runs (or coalesces) one solve under the slot lock. A query already
+/// answered — PPM at this version, APM ever — returns the stored outcome
+/// (the coalescing path); a mutation clears the PPM answers, so the next
+/// PPM query misses.
 fn run_solve(meta: &SlotMeta, state: &mut SlotState, query: &SolveQuery) -> Arc<SolveOutcome> {
-    let key_text = protocol::query_key(query);
-    let (domain, key) = match query.mode {
-        Mode::Ppm => ("solve", fnv64(state.version, &key_text)),
-        // The router topology never mutates, so APM answers survive
-        // version bumps in their own memo.
-        Mode::Apm => ("apm", fnv64(0, &key_text)),
-    };
-    let memo = match query.mode {
-        Mode::Ppm => &state.memo,
-        Mode::Apm => &state.apm_memo,
-    };
-    if let Some(hit) = memo.get::<SolveOutcome>(domain, key) {
+    let key = protocol::query_key(query);
+    if let Some(hit) = state.answers(query.mode).get(&key).cloned() {
         state.coalesced += 1;
         return hit;
     }
     state.solves += 1;
-    let outcome = match query.mode {
+    let outcome = Arc::new(match query.mode {
         Mode::Ppm => solve_ppm(state, query),
         Mode::Apm => solve_apm(meta, query),
-    };
-    let memo = match query.mode {
-        Mode::Ppm => &state.memo,
-        Mode::Apm => &state.apm_memo,
-    };
-    memo.get_or_compute(domain, key, || outcome)
+    });
+    state.answers(query.mode).insert(key, outcome.clone());
+    outcome
 }
 
 /// Bridges a wire query's method onto the unified request.

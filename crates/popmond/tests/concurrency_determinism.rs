@@ -4,9 +4,11 @@
 //! The same seeded multi-client workload is driven against a 1-permit
 //! and a 4-permit server; the per-session transcripts (every response
 //! line, coalescing counters included) must be identical. A second test
-//! races many threads loading the *same* instance id — mirroring the
-//! `engine::Memo` contention test — and asserts the sharded cache keeps
-//! exactly one winning slot that every racer observes.
+//! races many threads loading the *same* instance id and asserts the
+//! instance table keeps exactly one winning slot that every racer
+//! observes; a third races loads of *distinct* ids into a small
+//! `max_instances` and asserts the cap holds (the count and the insert
+//! share one lock).
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -123,9 +125,8 @@ fn per_session_transcripts_are_thread_count_invariant() {
     }
 }
 
-/// Mirrors `memo_racing_threads_observe_one_value` on the instance
-/// cache: threads racing `load_spec` on one id must leave exactly one
-/// slot, and every racer's subsequent solve must observe it bytewise.
+/// Threads racing `load_spec` on one id must leave exactly one slot,
+/// and every racer's subsequent solve must observe it bytewise.
 #[test]
 fn racing_loads_of_one_id_keep_one_slot() {
     for round in 0..6u64 {
@@ -173,5 +174,52 @@ fn racing_loads_of_one_id_keep_one_slot() {
                 "every racer must observe the winning slot's answer"
             );
         }
+    }
+}
+
+/// Threads released together load distinct ids into a 4-slot service:
+/// exactly the cap's worth of loads land, every other load is refused
+/// with `cache_full`, and no round ends past the cap.
+#[test]
+fn racing_loads_of_distinct_ids_respect_the_cap() {
+    const CAP: usize = 4;
+    for round in 0..6u64 {
+        let service = Service::new(ServiceConfig { max_instances: CAP });
+        let n = 12;
+        let barrier = Barrier::new(n);
+        let responses: Vec<String> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..n)
+                .map(|i| {
+                    let (service, barrier) = (&service, &barrier);
+                    let load = format!(
+                        r#"{{"op":"load_spec","id":"r{round}i{i}","spec":"small","seed":{round}}}"#
+                    );
+                    scope.spawn(move || {
+                        barrier.wait();
+                        service.handle_line(&load).text
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+
+        assert!(
+            service.instance_count() <= CAP,
+            "round {round}: {} resident instances past a cap of {CAP}",
+            service.instance_count()
+        );
+        let mut loaded = 0;
+        for r in &responses {
+            let doc = json::parse(r).unwrap();
+            if doc.get("ok").and_then(Value::as_bool) == Some(true) {
+                assert_eq!(doc.get("created").and_then(Value::as_bool), Some(true));
+                loaded += 1;
+            } else {
+                let code = doc.get("error").and_then(|e| e.get("code"));
+                assert_eq!(code.and_then(Value::as_str), Some("cache_full"), "{r}");
+            }
+        }
+        assert_eq!(loaded, CAP, "round {round}: the first {CAP} loads land");
+        assert_eq!(service.instance_count(), CAP);
     }
 }
